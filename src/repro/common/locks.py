@@ -66,9 +66,13 @@ class FileLock:
             return False
         except FileNotFoundError:
             # Parent directory vanished (or never existed): create and
-            # retry once; a second FileNotFoundError propagates.
+            # retry once; a second FileNotFoundError propagates.  A racing
+            # process may take the lock between the mkdir and the retry.
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return False
         try:
             os.write(fd, f"{os.getpid()}\n".encode("ascii"))
         finally:

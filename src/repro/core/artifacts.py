@@ -8,6 +8,15 @@ executions: a workload's CPU trace characterization
 artifact kinds under a cache directory so repeated experiment runs —
 and parallel runs in other processes — skip re-execution entirely.
 
+The CPU artifact (``cpu-*.json``, format 3) holds every metric any
+experiment derives from a CPU trace: the instruction mix, the paper's
+eight-size miss curve and exact 4 MB miss rate, whole-run sharing,
+footprints, and the extension metrics — the fine miss curve
+(working sets), sharing within cache residency at each of
+:data:`~repro.cpusim.metrics.SHARING_SIZES`, and private-cache
+coherence.  Each CPU workload therefore executes once per cold cache,
+and a warm run executes none.
+
 Keys are content hashes: workload name, scale, GPU code version, the
 *source code* of the workload function (so editing a workload
 invalidates its artifacts), the substrate configuration (machine
@@ -65,15 +74,17 @@ from typing import Any, Dict, Iterable, Optional
 from repro import telemetry
 from repro.common.config import SimScale, config as runtime_config
 from repro.common.locks import LockTimeout, store_lock
+from repro.cpusim.coherence import CoherenceStats
 from repro.cpusim.metrics import CPUMetrics
-from repro.cpusim.sharing import SharingStats
+from repro.cpusim.sharing import SharingStats, SizeSharing
 from repro.gpusim.trace import KernelTrace
 from repro.gpusim.trace_io import load_trace, save_trace
 
 #: Bump when the serialized layout or the meaning of a cached artifact
 #: changes; old entries are simply never matched again.
 #: 2: GPU traces persist in the v2 chunked columnar layout.
-ARTIFACT_FORMAT = 2
+#: 3: CPU metrics carry the fine miss curve, sharing by size, coherence.
+ARTIFACT_FORMAT = 3
 
 #: Budget for persisted launch plans (see ``ArtifactCache.prune_plans``):
 #: plans are cheap to regenerate (one traced launch), so the cache keeps
@@ -114,18 +125,41 @@ def artifact_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
+def _rates(pairs) -> Dict[int, float]:
+    return {int(size): float(rate) for size, rate in pairs}
+
+
+#: Per-field decoders of the JSON form of :class:`CPUMetrics`; other
+#: fields load as-is.  JSON turns int dict keys into strings, so the
+#: cache-size-keyed maps are stored as sorted ``[size, value]`` pairs.
+_FIELD_DECODERS = {
+    "miss_curve": _rates,
+    "fine_miss_curve": _rates,
+    "sharing": lambda d: SharingStats(**d),
+    "sharing_by_size": lambda pairs: {
+        int(size): SizeSharing(**d) for size, d in pairs
+    },
+    "coherence": lambda d: CoherenceStats(**d),
+}
+
+
 def _metrics_to_dict(metrics: CPUMetrics) -> Dict[str, Any]:
     d = dataclasses.asdict(metrics)
-    # JSON turns int dict keys into strings; keep the curve as pairs.
-    d["miss_curve"] = sorted(metrics.miss_curve.items())
+    for field in ("miss_curve", "fine_miss_curve", "sharing_by_size"):
+        d[field] = sorted(d[field].items())
     return d
 
 
 def _metrics_from_dict(d: Dict[str, Any]) -> CPUMetrics:
-    d = dict(d)
-    d["miss_curve"] = {int(size): float(rate) for size, rate in d["miss_curve"]}
-    d["sharing"] = SharingStats(**d["sharing"])
-    return CPUMetrics(**d)
+    """Inverse of :func:`_metrics_to_dict`.
+
+    An entry with a missing or unknown field (an older layout) raises
+    ``TypeError``, which :meth:`ArtifactCache.get_cpu` treats as a miss.
+    """
+    return CPUMetrics(**{
+        k: _FIELD_DECODERS[k](v) if k in _FIELD_DECODERS else v
+        for k, v in dict(d).items()
+    })
 
 
 class ArtifactCache:

@@ -1,10 +1,15 @@
 """Assembled CPU-side characterization of one workload run.
 
-``characterize_trace`` bundles the paper's per-workload CPU metrics —
+``characterize_trace`` bundles every trace-derived CPU metric —
 instruction mix, the miss-rate curve over the paper's eight cache sizes,
-the exact 4 MB miss rate (Figure 10), sharing statistics, and data/code
-footprints — into one :class:`CPUMetrics` record, which feeds the
-feature vectors of :mod:`repro.core.features`.
+the exact 4 MB miss rate (Figure 10), sharing statistics, data/code
+footprints, and the extension metrics (the fine miss-rate grid behind
+working-set detection, sharing within cache residency at
+:data:`SHARING_SIZES`, private-cache coherence) — into one
+:class:`CPUMetrics` record.  Like the paper (after Bienia et al.), every
+metric comes from one execution's trace; the record is the persisted CPU
+artifact, so experiments only ever read it.  The PCA feature vectors of
+:mod:`repro.core.features` use the paper's metrics only.
 """
 
 from __future__ import annotations
@@ -15,11 +20,15 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.cpusim.cache import PAPER_CACHE_SIZES
+from repro.cpusim.coherence import CoherenceStats
 from repro.cpusim.machine import Machine
-from repro.cpusim.sharing import SharingStats
+from repro.cpusim.sharing import SharingStats, SizeSharing
 
 #: Figure 10's cache configuration.
 FIG10_CACHE_BYTES = 4 * 1024 * 1024
+
+#: Cache sizes of the residency-windowed sharing measurement.
+SHARING_SIZES = (256 * 1024, 4 * 1024 * 1024, 16 * 1024 * 1024)
 
 
 @dataclasses.dataclass
@@ -35,6 +44,9 @@ class CPUMetrics:
     sharing: SharingStats
     data_footprint_4kb: int
     code_footprint_64b: int
+    fine_miss_curve: Dict[int, float]
+    sharing_by_size: Dict[int, SizeSharing]
+    coherence: CoherenceStats
 
     def working_set_features(self) -> Dict[str, float]:
         return {f"miss@{size//1024}kB": rate for size, rate in self.miss_curve.items()}
@@ -57,47 +69,52 @@ def characterize_trace(
     machine: Machine,
     name: str = "",
     code_footprint_64b: int = 0,
-    exact_4mb: bool = True,
 ) -> CPUMetrics:
     """Compute all CPU metrics from a machine's accumulated trace.
 
     Streams the trace chunk by chunk — every analysis (reuse curve, the
-    exact 4 MB cache, sharing) carries its state between chunks — so a
-    spilled out-of-core trace is characterized without re-materializing
-    it; results are bit-identical to the dense whole-trace path.
+    exact 4 MB cache, sharing, sharing at each size, coherence) carries
+    its state between chunks — so a spilled out-of-core trace is
+    characterized without re-materializing it; results are bit-identical
+    to the dense whole-trace path.  Both miss-rate curves come from the
+    one stack-distance histogram.
     """
     from repro.analytics.chunked import StreamingReuse, StreamingSharing
     from repro.cpusim.cache import SharedCache
+    from repro.cpusim.coherence import simulate_coherent_caches_chunked
     from repro.cpusim.reuse import curve_from_histogram
+    from repro.cpusim.sharing import sharing_at_size_chunked
+    from repro.cpusim.workingset import fine_size_grid
 
-    reuse = StreamingReuse(machine.line_size)
-    sharing = StreamingSharing(machine.line_size)
-    cache4 = (
-        SharedCache(FIG10_CACHE_BYTES, assoc=4, line_bytes=machine.line_size)
-        if exact_4mb
-        else None
-    )
+    line = machine.line_size
+    reuse = StreamingReuse(line)
+    sharing = StreamingSharing(line)
+    cache4 = SharedCache(FIG10_CACHE_BYTES, assoc=4, line_bytes=line)
     for addrs, tids, writes in machine.iter_trace_chunks():
         reuse.update(addrs)
         sharing.update(addrs, tids, writes)
-        if cache4 is not None:
-            cache4.run(addrs, record_hits=False)
+        cache4.run(addrs, record_hits=False)
     hist, cold = reuse.result()
-    curve = curve_from_histogram(
-        hist, cold, PAPER_CACHE_SIZES, machine.line_size
-    )
-    if cache4 is not None and machine.n_accesses:
-        rate_4mb = cache4.stats.miss_rate
-    else:
-        rate_4mb = curve.get(FIG10_CACHE_BYTES, 0.0)
     return CPUMetrics(
         name=name,
         inst_mix=machine.counts.mix(),
         total_insts=machine.counts.total,
         mem_refs=machine.counts.mem,
-        miss_curve=curve,
-        miss_rate_4mb=rate_4mb,
+        miss_curve=curve_from_histogram(hist, cold, PAPER_CACHE_SIZES, line),
+        miss_rate_4mb=cache4.stats.miss_rate,
         sharing=sharing.result(machine.iter_trace_chunks),
         data_footprint_4kb=machine.data_footprint_pages(),
         code_footprint_64b=code_footprint_64b,
+        fine_miss_curve=curve_from_histogram(
+            hist, cold, fine_size_grid(), line
+        ),
+        sharing_by_size={
+            size: sharing_at_size_chunked(
+                machine.iter_trace_chunks, size, line_bytes=line
+            )
+            for size in SHARING_SIZES
+        },
+        coherence=simulate_coherent_caches_chunked(
+            machine.iter_trace_chunks, line_bytes=line
+        ),
     )

@@ -34,9 +34,12 @@ class WorkingSet:
         return self.miss_rate_before - self.miss_rate_after
 
 
-def _fine_size_grid(
-    points_per_octave: int, min_size: int, max_size: int
+def fine_size_grid(
+    points_per_octave: int = 2,
+    min_size: int = 16 * 1024,
+    max_size: int = 32 * 1024 * 1024,
 ) -> List[int]:
+    """Log-spaced cache sizes, ``points_per_octave`` per doubling."""
     sizes: List[int] = []
     size = min_size
     while size <= max_size:
@@ -61,7 +64,7 @@ def fine_miss_curve(
     fine grid costs no more than the paper's eight points.
     """
     hist, cold = reuse_distance_histogram(addrs, line_bytes)
-    grid = _fine_size_grid(points_per_octave, min_size, max_size)
+    grid = fine_size_grid(points_per_octave, min_size, max_size)
     return curve_from_histogram(hist, cold, tuple(grid), line_bytes)
 
 
@@ -76,7 +79,7 @@ def fine_miss_curve_chunked(
     from repro.analytics.chunked import reuse_histogram_chunked
 
     hist, cold = reuse_histogram_chunked(iter_chunks, line_bytes)
-    grid = _fine_size_grid(points_per_octave, min_size, max_size)
+    grid = fine_size_grid(points_per_octave, min_size, max_size)
     return curve_from_histogram(hist, cold, tuple(grid), line_bytes)
 
 

@@ -37,7 +37,6 @@ from repro.core.features import (
     gpu_trace_for,
     suite_workloads,
 )
-from repro.cpusim.coherence import simulate_coherent_caches_chunked
 from repro.experiments import ExperimentResult
 from repro.experiments.gpu_common import gpu_workload_names, short_name, traces
 from repro.gpusim import GPUConfig, TimingModel
@@ -309,8 +308,6 @@ def run_ext_crossarch(scale: SimScale = SimScale.SMALL) -> ExperimentResult:
 # Coherence (private caches)
 # ----------------------------------------------------------------------
 def run_ext_coherence(scale: SimScale = SimScale.SMALL) -> ExperimentResult:
-    from repro.cpusim import Machine
-
     names = suite_workloads()
     table = Table(
         "Extension: private 512 kB caches with write-invalidate coherence",
@@ -320,11 +317,9 @@ def run_ext_coherence(scale: SimScale = SimScale.SMALL) -> ExperimentResult:
     )
     data = {}
     for name in names:
-        defn = wl.get(name)
-        machine = Machine()
-        defn.cpu_fn(machine, scale)
-        stats = simulate_coherent_caches_chunked(machine.iter_trace_chunks)
-        shared_rate = cpu_metrics_for(name, scale).miss_rate_4mb
+        met = cpu_metrics_for(name, scale)
+        stats = met.coherence
+        shared_rate = met.miss_rate_4mb
         table.add_row([
             name, stats.miss_rate, stats.coherence_miss_fraction,
             stats.invalidations_per_kiloref, stats.false_sharing_fraction,

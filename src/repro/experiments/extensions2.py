@@ -24,9 +24,8 @@ from repro.common.config import SimScale
 from repro.common.tables import Table
 from repro.core.features import cpu_metrics_for, feature_matrix, suite_workloads
 from repro.core.prediction import leave_one_out
-from repro.cpusim import Machine
-from repro.cpusim.sharing import sharing_at_size_chunked
-from repro.cpusim.workingset import detect_working_sets, fine_miss_curve_chunked
+from repro.cpusim.metrics import SHARING_SIZES
+from repro.cpusim.workingset import detect_working_sets
 from repro.experiments import ExperimentResult
 from repro.experiments.gpu_common import (
     gpu_workload_names,
@@ -35,16 +34,6 @@ from repro.experiments.gpu_common import (
     traces,
 )
 from repro.gpusim import GPUConfig
-from repro.workloads import base as wl
-
-_SHARING_SIZES = (256 * 1024, 4 * 1024 * 1024, 16 * 1024 * 1024)
-
-
-def _machine_for(name: str, scale: SimScale) -> Machine:
-    defn = wl.get(name)
-    machine = Machine()
-    defn.cpu_fn(machine, scale)
-    return machine
 
 
 # ----------------------------------------------------------------------
@@ -58,8 +47,9 @@ def run_ext_workingsets(scale: SimScale = SimScale.SMALL) -> ExperimentResult:
     )
     data: Dict[str, List] = {}
     for name in names:
-        machine = _machine_for(name, scale)
-        sets = detect_working_sets(fine_miss_curve_chunked(machine.iter_trace_chunks))
+        sets = detect_working_sets(
+            cpu_metrics_for(name, scale).fine_miss_curve
+        )
         def fmt(i):
             if i >= len(sets):
                 return "-"
@@ -79,25 +69,23 @@ def run_ext_workingsets(scale: SimScale = SimScale.SMALL) -> ExperimentResult:
 # Sharing vs cache size
 # ----------------------------------------------------------------------
 def run_ext_sharing_size(scale: SimScale = SimScale.SMALL) -> ExperimentResult:
-    # A representative subset keeps the three exact-simulation passes
-    # per workload affordable; chosen to span the sharing spectrum.
+    # A representative subset, chosen to span the sharing spectrum.
     names = ["canneal", "dedup", "facesim", "fluidanimate", "bfs",
              "hotspot", "streamcluster", "blackscholes"]
     table = Table(
         "Extension: shared-access ratio within cache residency, by size",
-        ["Workload"] + [f"{s // 1024} kB" for s in _SHARING_SIZES]
+        ["Workload"] + [f"{s // 1024} kB" for s in SHARING_SIZES]
         + ["Whole-run (Fig. 9 pipeline)"],
     )
     data = {}
     for name in names:
-        machine = _machine_for(name, scale)
-        ratios = {}
-        for size in _SHARING_SIZES:
-            ratios[size] = sharing_at_size_chunked(
-                machine.iter_trace_chunks, size
-            ).shared_access_ratio
-        whole = cpu_metrics_for(name, scale).sharing.shared_access_ratio
-        table.add_row([name] + [ratios[s] for s in _SHARING_SIZES] + [whole])
+        met = cpu_metrics_for(name, scale)
+        ratios = {
+            size: met.sharing_by_size[size].shared_access_ratio
+            for size in SHARING_SIZES
+        }
+        whole = met.sharing.shared_access_ratio
+        table.add_row([name] + [ratios[s] for s in SHARING_SIZES] + [whole])
         data[name] = {"by_size": ratios, "whole_run": whole}
     return ExperimentResult("ext_sharing_size", [table], data)
 

@@ -1,6 +1,11 @@
 """Persistent artifact cache: round-trips, key invalidation, execution skip."""
 
+import collections
+import contextlib
 import dataclasses
+import io
+import json
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +13,9 @@ import pytest
 from repro.common.config import SimScale
 from repro.core import artifacts, features
 from repro.core.artifacts import ArtifactCache, artifact_key
+from repro.cpusim.coherence import CoherenceStats
 from repro.cpusim.metrics import CPUMetrics
-from repro.cpusim.sharing import SharingStats
+from repro.cpusim.sharing import SharingStats, SizeSharing
 
 
 def _sample_metrics() -> CPUMetrics:
@@ -23,6 +29,9 @@ def _sample_metrics() -> CPUMetrics:
         sharing=SharingStats(10, 4, 300, 120, 2, 30, 1.5),
         data_footprint_4kb=16,
         code_footprint_64b=9,
+        fine_miss_curve={16384: 0.75, 23170: 0.5, 32768: 0.25},
+        sharing_by_size={262144: SizeSharing(262144, 300, 90, 40, 12)},
+        coherence=CoherenceStats(8, 300, 60, 20, 5, 7, 3, 4, 3),
     )
 
 
@@ -38,7 +47,8 @@ def test_cpu_metrics_round_trip(cache):
     assert loaded is not None
     assert dataclasses.asdict(loaded) == dataclasses.asdict(metrics)
     # Dict keys survive the JSON round-trip as ints.
-    assert all(isinstance(k, int) for k in loaded.miss_curve)
+    for field in ("miss_curve", "fine_miss_curve", "sharing_by_size"):
+        assert all(isinstance(k, int) for k in getattr(loaded, field))
     assert loaded.all_features() == metrics.all_features()
 
 
@@ -180,3 +190,91 @@ def test_runner_no_cache_flag(tmp_path, capsys):
     finally:
         artifacts.set_artifact_cache(prev)
         features.clear_caches()
+
+
+# ----------------------------------------------------------------------
+# Each CPU workload executes once: every CPU experiment reads the artifact
+# ----------------------------------------------------------------------
+_EXT_ARGV = ["ext_sharing_size", "ext_workingsets", "ext_coherence", "fig10",
+             "--scale", "tiny"]
+
+
+@contextlib.contextmanager
+def _fresh_process(cache):
+    """Run against ``cache`` with an empty memo, as a new process would."""
+    prev = artifacts.get_artifact_cache()
+    artifacts.set_artifact_cache(cache)
+    features.clear_caches()
+    features.EXECUTIONS.clear()
+    try:
+        yield
+    finally:
+        artifacts.set_artifact_cache(prev)
+        features.clear_caches()
+
+
+def _run(argv):
+    """Runner stdout with the wall-clock ``[... completed in Ns]`` lines cut."""
+    from repro.experiments import runner
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert runner.main(list(argv)) == 0
+    return re.sub(r"\[\w+ completed in [0-9.]+s\]", "", buf.getvalue())
+
+
+@pytest.fixture(scope="module")
+def ext_cold(tmp_path_factory):
+    """One cold run of the CPU extension experiments plus Fig 10."""
+    cache = ArtifactCache(tmp_path_factory.mktemp("ext-cache"))
+    with _fresh_process(cache):
+        out = _run(_EXT_ARGV)
+        executions = list(features.EXECUTIONS)
+    return cache, out, executions
+
+
+def test_cold_run_executes_each_cpu_workload_once(ext_cold):
+    _, _, executions = ext_cold
+    runs = collections.Counter(e for e in executions if e[0] == "cpu")
+    assert {name for _, name, _ in runs} == set(features.suite_workloads())
+    assert set(runs.values()) == {1}
+
+
+def test_warm_run_executes_nothing(ext_cold):
+    cache, cold_out, _ = ext_cold
+    with _fresh_process(cache):
+        assert _run(_EXT_ARGV) == cold_out
+        assert features.EXECUTIONS == []
+
+
+def test_stale_or_truncated_cpu_entry_reexecutes_once(ext_cold):
+    """An older-layout or torn ``cpu-*.json`` is a miss: the runner
+    re-executes that workload once, rewrites the entry, and renders the
+    same tables."""
+    cache, cold_out, _ = ext_cold
+    argv = ["ext_sharing_size", "--scale", "tiny"]
+    with _fresh_process(cache):
+        expected = _run(argv)
+    assert expected in cold_out
+    paths = {name: next(cache.root.glob(f"cpu-{name}-tiny-*.json"))
+             for name in ("dedup", "hotspot")}
+    old = json.loads(paths["dedup"].read_text(encoding="utf-8"))
+    for field in ("fine_miss_curve", "sharing_by_size", "coherence"):
+        del old[field]
+    with pytest.raises(TypeError):
+        artifacts._metrics_from_dict(old)
+    paths["dedup"].write_text(json.dumps(old), encoding="utf-8")
+    text = paths["hotspot"].read_text(encoding="utf-8")
+    paths["hotspot"].write_text(text[: len(text) // 2], encoding="utf-8")
+
+    with _fresh_process(cache):
+        assert _run(argv) == expected
+        assert sorted(features.EXECUTIONS) == [
+            ("cpu", "dedup", "tiny"), ("cpu", "hotspot", "tiny"),
+        ]
+    for name, path in paths.items():
+        key = path.stem.rsplit("-", 1)[-1]
+        assert cache.get_cpu(name, SimScale.TINY, key) is not None
+    with _fresh_process(cache):
+        assert _run(argv) == expected
+        assert features.EXECUTIONS == []

@@ -166,6 +166,9 @@ def test_characterize_trace_invariant_to_chunk_rows():
     assert base.miss_rate_4mb == small.miss_rate_4mb
     assert base.sharing == small.sharing
     assert base.data_footprint_4kb == small.data_footprint_4kb
+    assert base.fine_miss_curve == small.fine_miss_curve
+    assert base.sharing_by_size == small.sharing_by_size
+    assert base.coherence == small.coherence
 
 
 def test_gpu_timing_and_sharing_invariant_to_chunk_rows():

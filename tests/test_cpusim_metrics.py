@@ -12,7 +12,13 @@ from repro.core.features import (
     gpu_trace_for,
     suite_workloads,
 )
+from repro.core.artifacts import ArtifactCache
 from repro.cpusim import CodeFootprintTracer, Machine, characterize_trace
+from repro.cpusim.coherence import simulate_coherent_caches_chunked
+from repro.cpusim.metrics import SHARING_SIZES
+from repro.cpusim.sharing import sharing_at_size_chunked
+from repro.cpusim.workingset import fine_miss_curve_chunked
+from repro.workloads import base as wl
 
 
 class TestCharacterizeTrace:
@@ -55,6 +61,29 @@ class TestCharacterizeTrace:
         met = characterize_trace(self._machine(), "demo")
         # Threads 0/1 touch alternating doubles of the same lines.
         assert met.sharing.frac_lines_shared > 0.9
+
+
+@pytest.mark.parametrize("name", ["dedup", "hotspot", "canneal"])
+def test_extension_metrics_equal_standalone_passes(name, tmp_path):
+    """The folded extension metrics are exactly the standalone analyses
+    over the same machine, and survive the artifact round trip."""
+    wl.load_all()
+    machine = Machine()
+    wl.get(name).cpu_fn(machine, SimScale.TINY)
+    met = characterize_trace(machine, name)
+    chunks = machine.iter_trace_chunks
+    assert met.fine_miss_curve == fine_miss_curve_chunked(chunks)
+    assert met.sharing_by_size == {
+        size: sharing_at_size_chunked(chunks, size) for size in SHARING_SIZES
+    }
+    assert met.coherence == simulate_coherent_caches_chunked(chunks)
+
+    cache = ArtifactCache(tmp_path)
+    cache.put_cpu(name, SimScale.TINY, "key", met)
+    loaded = cache.get_cpu(name, SimScale.TINY, "key")
+    assert loaded == met
+    assert list(loaded.fine_miss_curve) == list(met.fine_miss_curve)
+    assert list(loaded.sharing_by_size) == list(SHARING_SIZES)
 
 
 class TestCodeFootprintTracer:
