@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.gpusim import BLOCK_BATCHES, GPU
+from repro.gpusim import GPU, LAUNCH_ROUTES
 
 _BLOCKS = 512
 _THREADS = 128
@@ -55,9 +55,9 @@ def _run(batch: bool) -> float:
 
 
 def test_batched_execution_speedup():
-    del BLOCK_BATCHES[:]
+    del LAUNCH_ROUTES[:]
     batch_s, batch_trace, batch_out = _run(batch=True)
-    assert [e[1] for e in BLOCK_BATCHES] == ["batched"]
+    assert [e[1] for e in LAUNCH_ROUTES] == ["batch"]
     scalar_s, scalar_trace, scalar_out = _run(batch=False)
 
     # Same work: identical trace totals and device results.

@@ -1,6 +1,6 @@
 """Benchmarks of the out-of-core columnar trace pipeline.
 
-Three timings bound the costs the chunked design trades between:
+Two timings bound the costs the chunked design trades between:
 
 - **Cold build** — recording a multi-million-record stream into a
   :class:`ChunkStore` with no budget pressure (the common case; must
@@ -8,10 +8,6 @@ Three timings bound the costs the chunked design trades between:
 - **Spill overhead** — the same build under a budget that forces most
   sealed chunks through compressed npz segments, plus one full streamed
   read-back.
-- **Warm load** — ``load_trace`` of the v2 columnar format vs. the
-  legacy v1 per-launch layout for the same kernel trace.  v2's
-  delta+packed columns must load at least as fast as v1 (it reads
-  strictly fewer compressed bytes).
 """
 
 import time
@@ -103,59 +99,3 @@ def test_spill_and_streamed_readback(columns):
     assert build_s < 60.0
     assert read_s < 30.0
 
-
-def _kernel_trace():
-    """A representative launch set: mostly coalesced streaming accesses
-    (what stencil/reduction kernels emit) with a random-access minority
-    — the regime the v2 delta encoding is built for."""
-    from repro.gpusim.trace import KernelTrace, LaunchTrace
-
-    trace = KernelTrace(app_name="bench")
-    rng = np.random.default_rng(7)
-    for i in range(6):
-        lt = LaunchTrace(f"k{i}", grid=(256, 1), block=(128, 1),
-                         regs_per_thread=16)
-        n = 300_000
-        streaming = 0x10000000 + np.arange(n, dtype=np.int64) * 32
-        scattered = (rng.integers(0, 1 << 20, n) * 32).astype(np.int64)
-        addrs = np.where(rng.random(n) < 0.8, streaming, scattered)
-        blocks = (np.arange(n, dtype=np.int64) * 256 // n).astype(np.int32)
-        stores = rng.random(n) < 0.25
-        lt.record_transaction_stream(addrs, blocks, stores)
-        trace.launches.append(lt)
-    return trace
-
-
-def test_warm_load_v2_vs_v1(tmp_path):
-    """The v2 columnar layout must load no slower than legacy v1."""
-    from repro.gpusim.trace_io import load_trace, save_trace
-
-    trace = _kernel_trace()
-    p1, p2 = tmp_path / "t1.npz", tmp_path / "t2.npz"
-    save_trace(trace, p1, version=1)
-    save_trace(trace, p2)
-
-    # Warm the page cache, then time repeated loads of each.
-    load_trace(p1), load_trace(p2)
-
-    t0 = time.perf_counter()
-    for _ in range(3):
-        load_trace(p1)
-    v1_s = (time.perf_counter() - t0) / 3
-
-    t0 = time.perf_counter()
-    for _ in range(3):
-        load_trace(p2)
-    v2_s = (time.perf_counter() - t0) / 3
-
-    size1, size2 = p1.stat().st_size, p2.stat().st_size
-    print(
-        f"\nwarm load: v1 {v1_s*1000:.0f}ms ({size1/1e6:.1f}MB), "
-        f"v2 {v2_s*1000:.0f}ms ({size2/1e6:.1f}MB), "
-        f"{v1_s/v2_s:.2f}x"
-    )
-    assert size2 < size1, "v2 must be smaller on disk than v1"
-    # Allow 10% noise, but v2 should not be slower in the steady state.
-    assert v2_s <= v1_s * 1.10, (
-        f"v2 load {v2_s:.3f}s slower than v1 {v1_s:.3f}s"
-    )

@@ -41,7 +41,6 @@ SCHEMA_VERSION = 1
 OVERRIDABLE_CONFIG = {
     "gpu_batch": bool,
     "gpu_batch_lanes": int,
-    "gpu_plan": bool,
     "trace_budget": int,
     "trace_chunk_rows": int,
 }

@@ -98,7 +98,6 @@ DEFAULT_PERF_HISTORY = "benchmarks/perf-history.jsonl"
 _ENV_VARS = (
     "REPRO_GPU_BATCH",
     "REPRO_GPU_BATCH_LANES",
-    "REPRO_GPU_PLAN",
     "REPRO_CACHE",
     "REPRO_CACHE_DIR",
     "REPRO_CACHE_BUDGET",
@@ -147,9 +146,6 @@ class RuntimeConfig:
                        engine (``REPRO_GPU_BATCH``, default on).
     gpu_batch_lanes -- lane budget per batch step
                        (``REPRO_GPU_BATCH_LANES``).
-    gpu_plan        -- trace kernel launches into replayable launch
-                       plans (``REPRO_GPU_PLAN``, default on; only
-                       effective while ``gpu_batch`` is on).
     cache           -- persist workload artifacts on disk
                        (``REPRO_CACHE``, default on).
     cache_dir       -- artifact-cache root (``REPRO_CACHE_DIR``).
@@ -195,7 +191,6 @@ class RuntimeConfig:
 
     gpu_batch: bool = True
     gpu_batch_lanes: int = DEFAULT_BATCH_LANES
-    gpu_plan: bool = True
     cache: bool = True
     cache_dir: str = DEFAULT_CACHE_DIR
     trace: Optional[str] = None
@@ -257,7 +252,6 @@ class RuntimeConfig:
         return cls(
             gpu_batch=_env_true(os.environ.get("REPRO_GPU_BATCH")),
             gpu_batch_lanes=lanes,
-            gpu_plan=_env_true(os.environ.get("REPRO_GPU_PLAN")),
             cache=_env_true(os.environ.get("REPRO_CACHE")),
             cache_dir=os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR),
             trace=os.environ.get("REPRO_TRACE") or None,

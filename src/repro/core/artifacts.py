@@ -86,9 +86,7 @@ from repro.gpusim.trace_io import load_trace, save_trace
 #: 3: CPU metrics carry the fine miss curve, sharing by size, coherence.
 ARTIFACT_FORMAT = 3
 
-#: Budget for persisted launch plans (see ``ArtifactCache.prune_plans``):
-#: plans are cheap to regenerate (one traced launch), so the cache keeps
-#: a bounded working set with mtime-LRU eviction.
+# Plan-file budget, kept only for benchmarks/e2e/layertrace.py (see below).
 PLAN_CACHE_MAX_ENTRIES = 256
 PLAN_CACHE_MAX_BYTES = 256 * 1024 * 1024
 
@@ -307,13 +305,15 @@ class ArtifactCache:
         self.prune()
         return path
 
-    # -- GPU launch plans (repro.gpusim.plans) --------------------------
+    # -- plan files: nothing writes them any more ------------------------
+    # Kept only for get/put_plan_file, which layertrace.py wraps by name.
     def plan_path(self, kernel_name: str, key: str) -> Path:
         safe = "".join(
             ch if ch.isalnum() or ch in "-_" else "_" for ch in kernel_name
         )[:48] or "kernel"
         return self.root / f"plan-{safe}-{key}.npz"
 
+    # Kept only because benchmarks/e2e/layertrace.py wraps it by name.
     def get_plan_file(self, kernel_name: str, key: str) -> Optional[Path]:
         """Path of a persisted plan set, or None; touches mtime (LRU)."""
         path = self.plan_path(kernel_name, key)
@@ -324,6 +324,7 @@ class ArtifactCache:
         telemetry.count("artifacts.plan.hit")
         return path
 
+    # Kept only because benchmarks/e2e/layertrace.py wraps it by name.
     def put_plan_file(self, kernel_name: str, key: str, write_fn) -> Path:
         """Atomically persist one plan set, then enforce the budget."""
         path = self.plan_path(kernel_name, key)
@@ -332,6 +333,7 @@ class ArtifactCache:
         self.prune_plans()
         return path
 
+    # Kept only for put_plan_file, which layertrace.py wraps by name.
     def prune_plans(self, max_entries: int = PLAN_CACHE_MAX_ENTRIES,
                     max_bytes: int = PLAN_CACHE_MAX_BYTES) -> int:
         """Evict least-recently-used plan files past the budget.

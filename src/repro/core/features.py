@@ -18,7 +18,7 @@ from repro import telemetry
 from repro.common.config import SimScale
 from repro.core.artifacts import get_artifact_cache
 from repro.cpusim import CodeFootprintTracer, CPUMetrics, Machine, characterize_trace
-from repro.gpusim import BLOCK_BATCHES, GPU, GPUConfig, KernelTrace
+from repro.gpusim import GPU, GPUConfig, KernelTrace
 from repro.workloads import base as wl
 
 _cpu_cache: Dict[Tuple[str, SimScale], CPUMetrics] = {}
@@ -27,13 +27,6 @@ _gpu_cache: Dict[Tuple[str, SimScale, int], KernelTrace] = {}
 #: Probe: one entry per *actual* workload execution (cache misses only).
 #: Tests use this to assert that a warm artifact cache skips execution.
 EXECUTIONS: List[Tuple[str, str, str]] = []
-
-#: ``BLOCK_BATCHES`` (imported above) is re-exported here: one entry per
-#: launch handled by the block-batched GPU engine, ``(kernel_name,
-#: "batched" | "fallback", n_blocks)``.  It is the same list object as
-#: :data:`repro.gpusim.gpu.BLOCK_BATCHES`, so tests and benchmarks can
-#: assert the fast path actually engaged.
-
 
 #: Feature-subset names accepted by :func:`feature_matrix`.
 SUBSETS = ("mix", "workingset", "sharing", "all")

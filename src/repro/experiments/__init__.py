@@ -19,12 +19,11 @@ import contextlib
 import dataclasses
 import importlib
 import time
-import warnings
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional
 
 from repro import telemetry
 from repro.api import ExperimentRequest
-from repro.common.config import SimScale, config, override
+from repro.common.config import config, override
 from repro.common.tables import Table
 
 
@@ -125,22 +124,17 @@ def get_driver(experiment: str) -> Callable:
     return getattr(mod, f"run_{experiment}")
 
 
-def run_experiment(
-    request: Union[ExperimentRequest, str],
-    scale: Optional[SimScale] = None,
-) -> ExperimentResult:
+def run_experiment(request: ExperimentRequest, *stray) -> ExperimentResult:
     """Run one experiment under a telemetry span; the typed entry point.
 
-    The canonical spelling takes an
-    :class:`~repro.api.ExperimentRequest` — the same encoding the CLI,
-    the HTTP service, and the run registry speak — and applies its
-    validated config overrides around the driver call::
+    It takes an :class:`~repro.api.ExperimentRequest` — the same
+    encoding the CLI, the HTTP service, and the run registry speak — and
+    applies its validated config overrides around the driver call::
 
         run_experiment(ExperimentRequest("fig1", SimScale.SMALL))
 
-    The historical ``run_experiment("fig1", scale)`` spelling still
-    works but emits a :class:`DeprecationWarning`; it is a shim that
-    builds the request object for you.
+    Anything else — a second positional argument, or the old
+    ``run_experiment("fig1", scale)`` spelling — raises ``TypeError``.
 
     Every consumer of the experiment layer (the CLI runner, the
     benchmark harness, the report, the service) goes through here, so
@@ -148,27 +142,17 @@ def run_experiment(
     (including the request encoding itself), and — when telemetry is
     active — the id of the span covering the driver call.
     """
-    if isinstance(request, ExperimentRequest):
-        if scale is not None:
-            raise TypeError(
-                "scale travels inside ExperimentRequest; "
-                "don't pass it separately"
-            )
-        req = request
-    else:
-        warnings.warn(
-            "run_experiment('id', scale) is deprecated; pass "
-            "repro.api.ExperimentRequest('id', scale) instead",
-            DeprecationWarning,
-            stacklevel=2,
+    if stray or not isinstance(request, ExperimentRequest):
+        raise TypeError(
+            "run_experiment takes one ExperimentRequest; the scale "
+            "travels inside ExperimentRequest"
         )
-        req = ExperimentRequest(
-            experiment=request,
-            scale=SimScale.SMALL if scale is None else scale,
-        )
-    experiment, req_scale = req.experiment, req.scale
+    experiment, req_scale = request.experiment, request.scale
     driver = get_driver(experiment)
-    ctx = override(**req.config) if req.config else contextlib.nullcontext()
+    ctx = (
+        override(**request.config) if request.config
+        else contextlib.nullcontext()
+    )
     t0 = time.perf_counter()
     with ctx:
         with telemetry.span(
@@ -192,11 +176,11 @@ def run_experiment(
         "duration_s", round(time.perf_counter() - t0, 3)
     )
     result.metadata.setdefault("n_tables", len(result.tables))
-    result.metadata.setdefault("request", req.to_dict())
+    result.metadata.setdefault("request", request.to_dict())
     result.span_id = sp.id
     registry_dir = config().registry_dir
     if registry_dir:
-        _record_invocation(result, req, registry_dir)
+        _record_invocation(result, request, registry_dir)
     return result
 
 

@@ -31,14 +31,6 @@ parent against the warm cache.  ``--no-cache`` disables artifact
 persistence for the run (equivalent to ``REPRO_CACHE=off``) and is
 therefore incompatible with ``--jobs``.
 
-``--gpu-plan {on,off}`` toggles traced launch plans
-(:mod:`repro.gpusim.plans`, ``REPRO_GPU_PLAN`` is the environment
-fallback): repeat launches of a kernel replay a recorded whole-batch
-schedule instead of re-interpreting the DSL.  Plans persist in the
-artifact cache (``--no-cache`` keeps them session-only) and per-kernel
-routing is visible as ``gpusim.plan.route.*`` counters in
-``--metrics``.
-
 Observability (:mod:`repro.telemetry`): ``--trace out.jsonl`` writes
 every span and counter as JSONL (``REPRO_TRACE`` is the environment
 fallback) — with ``--jobs`` each pool worker appends its own
@@ -202,14 +194,6 @@ def _cmd_run(argv) -> int:
         help="disable the persistent artifact cache for this run",
     )
     parser.add_argument(
-        "--gpu-plan", choices=["on", "off"], default=None,
-        help="traced launch plans for the batched GPU engine: replay a "
-             "recorded whole-batch schedule for repeat kernel launches "
-             "(default: on; REPRO_GPU_PLAN is the environment fallback; "
-             "per-kernel routing shows up under gpusim.plan.route.* in "
-             "--metrics)",
-    )
-    parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="write a JSONL telemetry trace (spans + counters) to PATH; "
              "REPRO_TRACE is the environment fallback",
@@ -281,10 +265,7 @@ def _cmd_run(argv) -> int:
     try:
         results = []
         gpu_profiles = None
-        run_overrides = {"registry_dir": registry_dir}
-        if args.gpu_plan is not None:
-            run_overrides["gpu_plan"] = args.gpu_plan == "on"
-        with override(**run_overrides):
+        with override(registry_dir=registry_dir):
             with telemetry.span("run", scale=scale.value,
                                 experiments=len(ids)):
                 if args.jobs > 1:

@@ -82,8 +82,5 @@ def regenerate() -> None:  # pragma: no cover - maintenance entry point
     print(f"wrote {path} ({sum(len(v) for v in table.values())} metrics)")
 
 
-#: Backwards-compatible alias (pre-subcommand spelling).
-_regenerate = regenerate
-
 if __name__ == "__main__":  # pragma: no cover
     regenerate()

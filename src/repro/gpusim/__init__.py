@@ -14,10 +14,9 @@ from repro.gpusim.batch import BatchBlockCtx
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.divergence import DivergenceStats, analyze_divergence
 from repro.gpusim.dsl import BlockCtx
-from repro.gpusim.gpu import BLOCK_BATCHES, GPU, batch_enabled
+from repro.gpusim.gpu import GPU, LAUNCH_ROUTES, batch_enabled
 from repro.gpusim.isa import Space
 from repro.gpusim.memory import DeviceArray
-from repro.gpusim.plans import PLAN_ROUTES, clear_plans, plan_enabled
 from repro.gpusim.profiler import (
     AppProfile,
     CounterSet,
@@ -41,11 +40,8 @@ __all__ = [
     "GPUConfig",
     "BlockCtx",
     "BatchBlockCtx",
-    "BLOCK_BATCHES",
+    "LAUNCH_ROUTES",
     "batch_enabled",
-    "PLAN_ROUTES",
-    "plan_enabled",
-    "clear_plans",
     "Space",
     "DeviceArray",
     "TimingModel",

@@ -27,10 +27,11 @@ from repro.gpusim.trace import KernelTrace
 
 Dim = Union[int, Tuple[int, int]]
 
-#: Probe for tests and benchmarks: one entry per launch routed through
-#: the block-batched engine — ``(kernel_name, "batched" | "fallback",
-#: n_blocks)``.  Mirrors ``repro.core.features.EXECUTIONS``.
-BLOCK_BATCHES: List[Tuple[str, str, int]] = []
+#: Route log: one entry per launch, ``(kernel_name, "batch" | "scalar",
+#: n_blocks)`` — which engine produced the launch's trace.  Importers
+#: (``repro.gpusim``, ``repro.gpusim.plans.PLAN_ROUTES``) hold this same
+#: list object, so clear it in place and never rebind it.
+LAUNCH_ROUTES: List[Tuple[str, str, int]] = []
 
 
 def batch_enabled() -> bool:
@@ -73,9 +74,6 @@ class GPU:
         # once a batch attempt fails the kernel goes straight to the
         # scalar engine on later launches.
         self._batch_fallbacks: set = set()
-        # Kernels whose trace aborted (untraceable constructs); launches
-        # go straight to the batched interpreter instead of re-tracing.
-        self._plan_unplannable: set = set()
 
     # ------------------------------------------------------------------
     # Memory management
@@ -158,29 +156,12 @@ class GPU:
             "kernel_launch", kernel=launch.kernel_name, blocks=n_blocks,
             threads=threads,
         ):
-            plan_mode = batch_enabled() and runtime_config().gpu_plan
             if batch_enabled() and kernel not in self._batch_fallbacks:
-                if plan_mode and kernel not in self._plan_unplannable:
-                    from repro.gpusim import plans
-
-                    if plans.try_plan(
-                        self, kernel, launch, grid2, block2, args, n_blocks
-                    ):
-                        return
                 if self._launch_batched(
                     kernel, launch, grid2, block2, args, n_blocks
                 ):
-                    if plan_mode:
-                        from repro.gpusim import plans
-
-                        plans.record_route(
-                            launch.kernel_name, "batch", n_blocks
-                        )
                     return
-            if plan_mode:
-                from repro.gpusim import plans
-
-                plans.record_route(launch.kernel_name, "scalar", n_blocks)
+            LAUNCH_ROUTES.append((launch.kernel_name, "scalar", n_blocks))
             telemetry.count("gpusim.batch.launches.scalar")
             telemetry.count("gpusim.batch.blocks.scalar", n_blocks)
             # Masked-off lanes legitimately compute garbage (e.g. x/0);
@@ -217,11 +198,10 @@ class GPU:
         except Exception:
             runner.restore()
             self._batch_fallbacks.add(kernel)
-            BLOCK_BATCHES.append((launch.kernel_name, "fallback", n_blocks))
             telemetry.count("gpusim.batch.launches.fallback")
             return False
         runner.commit()
-        BLOCK_BATCHES.append((launch.kernel_name, "batched", n_blocks))
+        LAUNCH_ROUTES.append((launch.kernel_name, "batch", n_blocks))
         telemetry.count("gpusim.batch.launches.batched")
         telemetry.count("gpusim.batch.blocks.batched", n_blocks)
         return True

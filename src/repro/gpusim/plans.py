@@ -1,1155 +1,2 @@
-"""Traced launch plans: compile-by-tracing for the kernel DSL.
-
-The block-batched engine (:mod:`repro.gpusim.batch`) already executes a
-launch as a handful of whole-batch numpy passes, but it still
-*re-interprets* the Python kernel body — mask bookkeeping, address
-validation, coalescing/bank-conflict accounting — on every launch.  For
-launch-heavy workloads (hotspot, srad) that interpretation dominates.
-
-This module traces **one** execution of a kernel through the batched
-engine and records a *launch plan*: a linear schedule of whole-batch
-numpy ops (gather loads, scatter/atomic stores, ufunc arithmetic,
-shared-memory allocations, host-branch guards) plus a
-:class:`PlanAccounting` snapshot of everything the launch contributes to
-the :class:`~repro.gpusim.trace.LaunchTrace` (aggregate counters and the
-pre-sorted transaction / cache-access streams).  Subsequent launches
-with the same content key *replay* the plan — a few hundred numpy calls
-and one accounting commit — skipping DSL interpretation entirely.
-
-Correctness model
------------------
-- The scalar per-block loop (``REPRO_GPU_BATCH=off``) remains the
-  bit-identity oracle; the batched engine is bit-identical to it, and a
-  replay is bit-identical to the batched trace execution by
-  construction: loads/stores reuse the exact flat-index and active-mask
-  arrays captured at trace time, value arithmetic is re-executed with
-  the *raw* operand objects (preserving NEP 50 weak-scalar promotion),
-  and the accounting commit mirrors ``LaunchBuffer.commit`` exactly,
-  including replaying const/tex accesses through the live caches.
-- Scalar kernel arguments stay *symbolic* (bound per replay) unless the
-  trace demands their concrete value for indices, masks, trip counts or
-  host control flow — then the trace restarts with those slots *baked*
-  (part of the variant key), since they shape the recorded accounting.
-- Values read back from device data may only reach host control flow as
-  a size-1 truth test; the trace records a **guard** with the observed
-  outcome.  A replay whose recomputed guard differs raises
-  :class:`PlanDivergence`: device writes are rolled back, the plan is
-  invalidated, and the launch re-runs on the batched engine.
-- Any other untraceable construct (data-dependent addressing or masks,
-  side channels past the DSL) aborts the trace; the kernel is marked
-  unplannable for its GPU and routes to the existing engine.
-
-Keying and persistence
-----------------------
-Plans are keyed by kernel fingerprint (qualname + source + closure
-cells + defaults), grid/block geometry, the lane budget, and per-arg
-signatures (space/dtype/shape/base for arrays, type for scalars); baked
-scalars key plan *variants* under the structural key.  A small
-process-wide LRU (:data:`SESSION_CAP` plan sets) fronts the artifact
-cache (:mod:`repro.core.artifacts`), which persists plan sets as
-``plan-<kernel>-<key>.npz`` with an entry/byte budget and mtime-LRU
-eviction.  ``--no-cache`` (``set_artifact_cache(None)``) keeps plans
-session-only.
-
-Telemetry parity: a replayed launch emits the same ``gpusim.batch.*``
-counters and ``BLOCK_BATCHES`` probe entry the batched engine would, so
-every existing counter contract holds under ``REPRO_GPU_PLAN=on``;
-routing visibility comes from the :data:`PLAN_ROUTES` probe and the
-``gpusim.plan.*`` counter family.
-"""
-
-from __future__ import annotations
-
-import hashlib
-import inspect
-import json
-import os
-from collections import OrderedDict
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import numpy as np
-
-from repro import telemetry
-from repro.common.config import config as runtime_config
-from repro.gpusim.batch import BatchBlockCtx, LaunchBuffer, batch_lanes
-from repro.gpusim.isa import Category, Space
-from repro.gpusim.memory import DeviceArray
-from repro.gpusim.trace import LaunchTrace
-
-#: Bump when the plan encoding changes; old persisted plans never match.
-PLAN_FORMAT = 1
-
-#: Plan sets kept in the in-process LRU.
-SESSION_CAP = 32
-
-#: Baked-scalar variants kept per plan set.
-VARIANT_CAP = 8
-
-#: Routing probe: one entry per launch while plan mode is active —
-#: ``(kernel_name, "replay" | "trace" | "batch" | "scalar", n_blocks)``.
-PLAN_ROUTES: List[Tuple[str, str, int]] = []
-
-#: numpy functions (non-ufuncs) the tracer understands.
-_FUNC_REGISTRY = {"where": np.where, "clip": np.clip}
-_FUNC_NAMES = {fn: name for name, fn in _FUNC_REGISTRY.items()}
-
-_SCALAR_TYPES = (bool, int, float, np.bool_, np.integer, np.floating)
-
-
-def plan_enabled() -> bool:
-    """Whether launches may use traced plans (``REPRO_GPU_PLAN``).
-
-    On by default (plans only engage when the batched engine is also
-    enabled); set ``REPRO_GPU_PLAN=off`` — or
-    ``repro.common.config.override(gpu_plan=False)`` — to interpret
-    every launch.
-    """
-    return runtime_config().gpu_plan
-
-
-def record_route(kernel_name: str, route: str, n_blocks: int) -> None:
-    """Record one launch's routing decision (probe + counter)."""
-    PLAN_ROUTES.append((kernel_name, route, n_blocks))
-    telemetry.count(f"gpusim.plan.route.{kernel_name}.{route}")
-
-
-class PlanAbort(Exception):
-    """The kernel is untraceable; route to the batched interpreter."""
-
-
-class PlanDivergence(Exception):
-    """A replay observed state the plan was not traced under."""
-
-
-class _NeedsBake(Exception):
-    """The trace demanded concrete values for symbolic scalar slots."""
-
-    def __init__(self, slots: FrozenSet[int]):
-        super().__init__(f"scalar args {sorted(slots)} shape the trace")
-        self.slots = slots
-
-
-# ----------------------------------------------------------------------
-# Ufunc / function resolution
-# ----------------------------------------------------------------------
-_UFUNC_CACHE: Dict[str, np.ufunc] = {}
-
-
-def _ufunc(name: str) -> np.ufunc:
-    fn = _UFUNC_CACHE.get(name)
-    if fn is None:
-        fn = getattr(np, name, None)
-        if not isinstance(fn, np.ufunc):
-            raise PlanDivergence(f"unknown ufunc {name!r} in plan")
-        _UFUNC_CACHE[name] = fn
-    return fn
-
-
-def _bcast(value, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """``BatchBlockCtx.const`` minus validation (shapes validated at trace)."""
-    arr = np.asarray(value, dtype=dtype)
-    if arr.ndim == 0:
-        return np.full(shape, arr)
-    return np.broadcast_to(arr, shape)
-
-
-# ----------------------------------------------------------------------
-# Trace-time value graph
-# ----------------------------------------------------------------------
-class PlanBuilder:
-    """Accumulates the step schedule and constant pool of one trace."""
-
-    def __init__(self):
-        self.steps: List[tuple] = []
-        #: Raw operand objects.  ndarrays are deduplicated by identity
-        #: (pooling keeps them alive, so ids cannot be recycled); python
-        #: and numpy scalars are stored *raw* — coercing them to arrays
-        #: would turn NEP 50 weak scalars into strong ones and change
-        #: float32 promotion between trace and replay.
-        self.pool: List[object] = []
-        self._pool_ids: Dict[int, int] = {}
-        #: (shape, dtype str) per shared-memory allocation, in order.
-        self.shared_specs: List[Tuple[tuple, str]] = []
-        self.n_guards = 0
-
-    def emit(self, step: tuple) -> int:
-        self.steps.append(step)
-        return len(self.steps) - 1
-
-    def value(self, step: tuple, concrete, load_dep: bool,
-              scalar_deps: FrozenSet[int]) -> "TracedArray":
-        return TracedArray(self, concrete, self.emit(step), load_dep,
-                           scalar_deps)
-
-    def pool_idx(self, value) -> int:
-        if isinstance(value, np.ndarray):
-            j = self._pool_ids.get(id(value))
-            if j is None:
-                self.pool.append(value)
-                j = len(self.pool) - 1
-                self._pool_ids[id(value)] = j
-            return j
-        if not isinstance(value, _SCALAR_TYPES):
-            raise PlanAbort(
-                f"unsupported operand type {type(value).__name__}"
-            )
-        self.pool.append(value)
-        return len(self.pool) - 1
-
-    def operands(self, inputs) -> Tuple[list, list, bool, FrozenSet[int]]:
-        """Encode ufunc/function operands; returns (ops, concretes,
-        load_dep, scalar_deps)."""
-        ops, cvals = [], []
-        load_dep = False
-        deps: FrozenSet[int] = frozenset()
-        for v in inputs:
-            if isinstance(v, TracedArray):
-                if v._b is not self:
-                    raise PlanAbort("traced value leaked across launches")
-                ops.append(("r", v.ref))
-                cvals.append(v.concrete)
-                load_dep = load_dep or v.load_dep
-                deps = deps | v.scalar_deps
-            else:
-                ops.append(("p", self.pool_idx(v)))
-                cvals.append(v)
-        return ops, cvals, load_dep, deps
-
-
-class TracedArray(np.lib.mixins.NDArrayOperatorsMixin):
-    """A lazily-traced value flowing through a kernel body.
-
-    Wraps the concrete value the batched engine would compute while
-    recording every operation as a plan step.  ``load_dep`` marks values
-    derived from device data (must never reach indices, masks or host
-    control flow except as a guard); ``scalar_deps`` tracks which
-    symbolic scalar argument slots the value depends on.
-    """
-
-    __slots__ = ("_b", "concrete", "ref", "load_dep", "scalar_deps")
-
-    def __init__(self, builder: PlanBuilder, concrete, ref: int,
-                 load_dep: bool, scalar_deps: FrozenSet[int]):
-        self._b = builder
-        self.concrete = concrete
-        self.ref = ref
-        self.load_dep = load_dep
-        self.scalar_deps = scalar_deps
-
-    # -- numpy-facing metadata (geometry is trace-static) --------------
-    @property
-    def dtype(self):
-        return np.asarray(self.concrete).dtype
-
-    @property
-    def shape(self):
-        return np.asarray(self.concrete).shape
-
-    @property
-    def ndim(self):
-        return np.asarray(self.concrete).ndim
-
-    @property
-    def size(self):
-        return np.asarray(self.concrete).size
-
-    def astype(self, dtype) -> "TracedArray":
-        out = np.asarray(self.concrete).astype(dtype)
-        return self._b.value(
-            ("astype", self.ref, np.dtype(dtype).str),
-            out, self.load_dep, self.scalar_deps,
-        )
-
-    # -- traced dispatch ------------------------------------------------
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs:
-            raise PlanAbort(
-                f"untraceable ufunc use: {ufunc.__name__}.{method}"
-            )
-        ops, cvals, load_dep, deps = self._b.operands(inputs)
-        out = ufunc(*cvals)
-        return self._b.value(("ufunc", ufunc.__name__, ops), out,
-                             load_dep, deps)
-
-    def __array_function__(self, func, types, args, kwargs):
-        name = _FUNC_NAMES.get(func)
-        if name is None or kwargs or (name == "where" and len(args) != 3):
-            raise PlanAbort(
-                f"untraceable numpy call: {getattr(func, '__name__', func)}"
-            )
-        ops, cvals, load_dep, deps = self._b.operands(args)
-        out = func(*cvals)
-        return self._b.value(("func", name, ops), out, load_dep, deps)
-
-    # -- concretization boundary ---------------------------------------
-    def _force(self, why: str):
-        """The trace demands a concrete value; bake or abort."""
-        if self.load_dep:
-            raise PlanAbort(f"{why} depends on device data")
-        if self.scalar_deps:
-            raise _NeedsBake(self.scalar_deps)
-        raise PlanAbort(why)
-
-    def __array__(self, dtype=None, copy=None):
-        self._force("concrete array demanded")
-
-    def __bool__(self):
-        c = np.asarray(self.concrete)
-        if c.size != 1:
-            # Same failure the batched engine produces; the launch will
-            # route to the interpreter and fall back to the scalar loop.
-            raise ValueError(
-                "The truth value of an array with more than one element "
-                "is ambiguous."
-            )
-        if self.load_dep:
-            flag = bool(c.reshape(())[()])
-            self._b.emit(("guard", self.ref, flag))
-            self._b.n_guards += 1
-            return flag
-        self._force("host branch")
-
-    def __index__(self):
-        self._force("integer index")
-
-    def __int__(self):
-        self._force("int() conversion")
-
-    def __float__(self):
-        self._force("float() conversion")
-
-    def __iter__(self):
-        self._force("host iteration")
-
-    def __getitem__(self, key):
-        self._force("host indexing")
-
-    def __len__(self):
-        return len(np.asarray(self.concrete))
-
-    def __repr__(self):
-        return (f"TracedArray(ref={self.ref}, load_dep={self.load_dep}, "
-                f"scalar_deps={sorted(self.scalar_deps)})")
-
-
-# ----------------------------------------------------------------------
-# Accounting snapshot (mirror of LaunchBuffer.commit)
-# ----------------------------------------------------------------------
-class PlanAccounting:
-    """Everything one launch contributes to its :class:`LaunchTrace`.
-
-    Built from a :class:`LaunchBuffer` *before* that buffer commits
-    (:meth:`from_buffer` is pure), and applied by :meth:`commit` with
-    the exact semantics of ``LaunchBuffer.commit``: const then tex
-    cache accesses replayed through the live caches in (block, seq)
-    order, aggregate counters added, and the off-chip transaction
-    stream appended in the scalar engine's sequential-block order.
-    """
-
-    __slots__ = (
-        "issued_warp_insts", "thread_insts", "category_warp_insts",
-        "mem_warp_insts", "occupancy_hist", "shared_replays",
-        "const_serializations", "const_accesses", "tex_accesses",
-        "shared_bytes_per_block", "cache_streams", "gl", "tx_presorted",
-    )
-
-    @classmethod
-    def from_buffer(cls, buf: LaunchBuffer) -> "PlanAccounting":
-        a = cls.__new__(cls)
-        a.issued_warp_insts = buf.issued_warp_insts
-        a.thread_insts = buf.thread_insts
-        a.category_warp_insts = dict(buf.category_warp_insts)
-        a.mem_warp_insts = dict(buf.mem_warp_insts)
-        a.occupancy_hist = buf.occupancy_hist.copy()
-        a.shared_replays = buf.shared_replays
-        a.const_serializations = buf.const_serializations
-        a.const_accesses = buf.const_accesses
-        a.tex_accesses = buf.tex_accesses
-        a.shared_bytes_per_block = buf.shared_bytes_per_block
-        # Cache-access streams, pre-sorted into the sequential-block
-        # order _replay_cache produces (stable sort by block of events
-        # appended in seq order).
-        a.cache_streams = {}
-        for kind in ("const", "tex"):
-            events = buf._cache_events[kind]
-            if not events:
-                a.cache_streams[kind] = None
-                continue
-            addrs = np.concatenate([e[1] for e in events])
-            blocks = np.concatenate([e[2] for e in events])
-            seqs = np.repeat(
-                np.array([e[0] for e in events], dtype=np.int64),
-                np.array([e[1].size for e in events], dtype=np.int64),
-            )
-            order = np.argsort(blocks, kind="stable")
-            a.cache_streams[kind] = (addrs[order], blocks[order],
-                                     seqs[order])
-        # Global/local transaction parts (concatenated in event order).
-        if buf._mem_events:
-            a.gl = (
-                np.concatenate([e[1] for e in buf._mem_events]),
-                np.concatenate([e[2] for e in buf._mem_events]),
-                np.concatenate([
-                    np.full(e[1].size, e[0], dtype=np.int64)
-                    for e in buf._mem_events
-                ]),
-                np.concatenate([
-                    np.full(e[1].size, e[3], dtype=bool)
-                    for e in buf._mem_events
-                ]),
-            )
-        else:
-            a.gl = None
-        # With no cache events the final stream is known now: pre-sort
-        # it once so replays skip the lexsort entirely.
-        a.tx_presorted = None
-        if a.cache_streams["const"] is None and a.cache_streams["tex"] is None:
-            if a.gl is not None:
-                addrs, blocks, seqs, stores = a.gl
-                order = np.lexsort((seqs, blocks))
-                a.tx_presorted = (addrs[order], blocks[order],
-                                  stores[order])
-                a.gl = None
-        return a
-
-    def commit(self, launch: LaunchTrace, tex_cache, const_cache) -> None:
-        misses = {}
-        for kind, cache in (("const", const_cache), ("tex", tex_cache)):
-            stream = self.cache_streams[kind]
-            if stream is None:
-                misses[kind] = None
-                n_miss = 0
-            else:
-                addrs, blocks, seqs = stream
-                hits = cache.access(addrs)
-                m = ~hits
-                misses[kind] = (addrs[m], blocks[m], seqs[m])
-                n_miss = int(m.sum())
-            if kind == "const":
-                launch.const_accesses += self.const_accesses
-                launch.const_hits += self.const_accesses - n_miss
-            else:
-                launch.tex_accesses += self.tex_accesses
-                launch.tex_hits += self.tex_accesses - n_miss
-        launch.issued_warp_insts += self.issued_warp_insts
-        launch.thread_insts += self.thread_insts
-        for cat, n in self.category_warp_insts.items():
-            launch.category_warp_insts[cat] += n
-        for space, n in self.mem_warp_insts.items():
-            launch.mem_warp_insts[space] += n
-        launch.occupancy_hist += self.occupancy_hist
-        launch.shared_replays += self.shared_replays
-        launch.const_serializations += self.const_serializations
-        launch.shared_bytes_per_block = max(
-            launch.shared_bytes_per_block, self.shared_bytes_per_block
-        )
-        launch._version += 1
-
-        if self.tx_presorted is not None:
-            addrs, blocks, stores = self.tx_presorted
-            telemetry.count("gpusim.batch.transactions", int(addrs.size))
-            launch.record_transaction_stream(addrs, blocks, stores)
-            return
-        addr_parts, block_parts, seq_parts, store_parts = [], [], [], []
-        if self.gl is not None:
-            addr_parts.append(self.gl[0])
-            block_parts.append(self.gl[1])
-            seq_parts.append(self.gl[2])
-            store_parts.append(self.gl[3])
-        for kind in ("const", "tex"):
-            miss = misses[kind]
-            if miss is not None and miss[0].size:
-                addr_parts.append(miss[0])
-                block_parts.append(miss[1])
-                seq_parts.append(miss[2])
-                store_parts.append(np.zeros(miss[0].size, dtype=bool))
-        if not addr_parts:
-            return
-        addrs = np.concatenate(addr_parts)
-        blocks = np.concatenate(block_parts)
-        seqs = np.concatenate(seq_parts)
-        stores = np.concatenate(store_parts)
-        order = np.lexsort((seqs, blocks))
-        telemetry.count("gpusim.batch.transactions", int(addrs.size))
-        launch.record_transaction_stream(
-            addrs[order], blocks[order], stores[order]
-        )
-
-
-# ----------------------------------------------------------------------
-# Tracing context
-# ----------------------------------------------------------------------
-class PlanTracerCtx(BatchBlockCtx):
-    """A :class:`BatchBlockCtx` that records a launch plan as it runs.
-
-    Memory ops execute exactly as the batched engine would (same
-    device-state evolution, same :class:`LaunchBuffer` accounting) while
-    emitting plan steps with the captured flat-index/active-mask arrays;
-    loads return :class:`TracedArray` values so downstream arithmetic
-    and stores are recorded too.
-    """
-
-    def __init__(self, builder: PlanBuilder, slots: Dict[int, tuple],
-                 *args):
-        super().__init__(*args)
-        self._builder = builder
-        self._slots = slots
-
-    def _slot_of(self, arr: DeviceArray) -> tuple:
-        ref = self._slots.get(id(arr))
-        if ref is None:
-            raise PlanAbort(
-                f"array {arr.name} is not a kernel argument or shared "
-                f"allocation"
-            )
-        return ref
-
-    @staticmethod
-    def _plain(value, what: str):
-        if isinstance(value, TracedArray):
-            value._force(what)
-        return value
-
-    # -- shared memory --------------------------------------------------
-    def shared(self, shape, dtype=np.float32, name: str = ""):
-        arr = super().shared(shape, dtype, name)
-        b = self._builder
-        j = len(b.shared_specs)
-        b.shared_specs.append(
-            (tuple(int(x) for x in arr.data.shape), arr.data.dtype.str)
-        )
-        b.emit(("salloc", j))
-        self._slots[id(arr)] = ("shared", j)
-        return arr
-
-    # -- memory instructions --------------------------------------------
-    def load(self, arr: DeviceArray, idx):
-        if not self.mask.any():
-            return np.zeros((self.batch, self.nthreads), dtype=arr.dtype)
-        idx = self._plain(idx, "load index")
-        idx, active, act_idx = self._active_addrs(arr, idx)
-        self._account_mem(arr, idx, active, is_store=False)
-        flat = np.asarray(self._flat_index(arr, act_idx, active),
-                          dtype=np.int64)
-        out = np.zeros((self.batch, self.nthreads), dtype=arr.dtype)
-        out[active] = arr.data.flat[flat]
-        kind, slot = self._slot_of(arr)
-        b = self._builder
-        step = ("load", kind, slot, b.pool_idx(flat), b.pool_idx(active),
-                (self.batch, self.nthreads), arr.dtype.str)
-        return b.value(step, out, True, frozenset())
-
-    def _scatter(self, op: str, arr: DeviceArray, idx, values) -> None:
-        if not self.mask.any():
-            return
-        self._reject_local_write(arr)
-        idx = self._plain(idx, f"{op} index")
-        idx, active, act_idx = self._active_addrs(arr, idx)
-        self._account_mem(arr, idx, active, is_store=True)
-        b = self._builder
-        if isinstance(values, TracedArray):
-            if values._b is not b:
-                raise PlanAbort("traced value leaked across launches")
-            vop = ("r", values.ref)
-            vals = self.const(values.concrete, dtype=arr.dtype)
-        else:
-            vop = ("p", b.pool_idx(values))
-            vals = self.const(values, dtype=arr.dtype)
-        self._backup(arr)
-        flat = np.asarray(self._flat_index(arr, act_idx, active),
-                          dtype=np.int64)
-        if op == "store":
-            arr.data.flat[flat] = vals[active]
-        else:
-            np.add.at(arr.data.reshape(-1), flat, vals[active])
-        kind, slot = self._slot_of(arr)
-        b.emit((op, kind, slot, b.pool_idx(flat), b.pool_idx(active),
-                vop, arr.dtype.str, (self.batch, self.nthreads)))
-
-    def store(self, arr: DeviceArray, idx, values) -> None:
-        self._scatter("store", arr, idx, values)
-
-    def atomic_add(self, arr: DeviceArray, idx, values) -> None:
-        self._scatter("atomic", arr, idx, values)
-
-    def block_reduce_sum(self, values, smem: DeviceArray):
-        out = super().block_reduce_sum(values, smem)
-        kind, slot = self._slot_of(smem)
-        if kind != "shared":
-            raise PlanAbort("block_reduce_sum through non-shared memory")
-        return self._builder.value(
-            ("scol0", slot, self.batch), out, True, frozenset()
-        )
-
-
-class _Tracer:
-    """One trace attempt: runs the kernel under :class:`PlanTracerCtx`."""
-
-    def __init__(self, gpu, grid: tuple, block: tuple,
-                 baked: FrozenSet[int]):
-        self._gpu = gpu
-        self._grid = grid
-        self._block = block
-        self.baked = baked
-        self.buf = LaunchBuffer()
-        self.backups: Dict[int, Tuple[DeviceArray, np.ndarray]] = {}
-        self.builder = PlanBuilder()
-
-    def run(self, kernel, args: tuple, n_blocks: int) -> None:
-        b = self.builder
-        slots: Dict[int, tuple] = {}
-        wrapped = []
-        for i, a in enumerate(args):
-            if isinstance(a, DeviceArray):
-                slots[id(a)] = ("arg", i)
-                wrapped.append(a)
-            elif i in self.baked:
-                wrapped.append(a)
-            else:
-                ref = b.emit(("sload", i))
-                wrapped.append(
-                    TracedArray(b, a, ref, False, frozenset([i]))
-                )
-        threads = self._block[0] * self._block[1]
-        step = max(1, batch_lanes() // threads)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for lo in range(0, n_blocks, step):
-                n_batch = min(step, n_blocks - lo)
-                with telemetry.span(
-                    "batch_pass", blocks=n_batch, lanes=n_batch * threads
-                ):
-                    self._gpu._allocator.reset(Space.SHARED)
-                    ctx = PlanTracerCtx(
-                        b, slots, self._gpu, self.buf, self.backups,
-                        lo, n_batch, self._grid, self._block,
-                    )
-                    kernel(ctx, *wrapped)
-
-    def restore(self) -> None:
-        for arr, copy in self.backups.values():
-            arr.data[...] = copy
-
-    def finalize(self, kernel_name: str) -> "Plan":
-        b = self.builder
-        return Plan(kernel_name, b.steps, b.pool, b.shared_specs,
-                    PlanAccounting.from_buffer(self.buf), b.n_guards)
-
-
-# ----------------------------------------------------------------------
-# Plans and replay
-# ----------------------------------------------------------------------
-class Plan:
-    """One compiled variant: step schedule + pool + accounting."""
-
-    __slots__ = ("kernel_name", "steps", "pool", "shared_specs", "acct",
-                 "n_guards")
-
-    def __init__(self, kernel_name, steps, pool, shared_specs, acct,
-                 n_guards):
-        self.kernel_name = kernel_name
-        self.steps = steps
-        self.pool = pool
-        self.shared_specs = shared_specs
-        self.acct = acct
-        self.n_guards = n_guards
-
-
-class PlanSet:
-    """All baked-scalar variants of one structural key."""
-
-    def __init__(self, kernel_name: str, bake):
-        self.kernel_name = kernel_name
-        self.bake = frozenset(bake)
-        self.variants: "OrderedDict[str, Plan]" = OrderedDict()
-
-
-def _replay(plan: Plan, gpu, launch: LaunchTrace, args: tuple) -> None:
-    """Execute a plan against the live device state.
-
-    Raises :class:`PlanDivergence` (with device writes rolled back) on a
-    guard mismatch or any replay error; commits accounting only after
-    every step succeeded.
-    """
-    steps, pool, shared_specs = plan.steps, plan.pool, plan.shared_specs
-    vals: List[object] = [None] * len(steps)
-    shared: List[Optional[np.ndarray]] = [None] * len(shared_specs)
-    backups: Dict[int, Tuple[DeviceArray, np.ndarray]] = {}
-
-    def operand(o):
-        return vals[o[1]] if o[0] == "r" else pool[o[1]]
-
-    try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for si, st in enumerate(steps):
-                op = st[0]
-                if op == "ufunc":
-                    vals[si] = _ufunc(st[1])(*[operand(o) for o in st[2]])
-                elif op == "load":
-                    src = (args[st[2]].data if st[1] == "arg"
-                           else shared[st[2]])
-                    out = np.zeros(tuple(st[5]), dtype=np.dtype(st[6]))
-                    out[pool[st[4]]] = src.flat[pool[st[3]]]
-                    vals[si] = out
-                elif op in ("store", "atomic"):
-                    v = operand(st[5])
-                    vb = _bcast(v, np.dtype(st[6]), tuple(st[7]))
-                    flat, act = pool[st[3]], pool[st[4]]
-                    if st[1] == "arg":
-                        arr = args[st[2]]
-                        if id(arr) not in backups:
-                            backups[id(arr)] = (arr, arr.data.copy())
-                        buf = arr.data
-                    else:
-                        buf = shared[st[2]]
-                    if op == "store":
-                        buf.flat[flat] = vb[act]
-                    else:
-                        np.add.at(buf.reshape(-1), flat, vb[act])
-                elif op == "sload":
-                    vals[si] = args[st[1]]
-                elif op == "func":
-                    vals[si] = _FUNC_REGISTRY[st[1]](
-                        *[operand(o) for o in st[2]]
-                    )
-                elif op == "astype":
-                    vals[si] = np.asarray(vals[st[1]]).astype(
-                        np.dtype(st[2])
-                    )
-                elif op == "salloc":
-                    shape, dt = shared_specs[st[1]]
-                    shared[st[1]] = np.zeros(tuple(shape),
-                                             dtype=np.dtype(dt))
-                elif op == "scol0":
-                    vals[si] = (shared[st[1]].reshape(st[2], -1)[:, :1]
-                                .astype(np.float64))
-                elif op == "guard":
-                    c = np.asarray(vals[st[1]])
-                    if c.size != 1 or bool(c.reshape(())[()]) != st[2]:
-                        raise PlanDivergence(
-                            f"host branch diverged at step {si}"
-                        )
-                else:
-                    raise PlanDivergence(f"unknown plan step {op!r}")
-    except PlanDivergence:
-        for arr, copy in backups.values():
-            arr.data[...] = copy
-        raise
-    except Exception as exc:
-        for arr, copy in backups.values():
-            arr.data[...] = copy
-        raise PlanDivergence(f"replay failed: {exc}") from exc
-    plan.acct.commit(launch, gpu.tex_cache, gpu.const_cache)
-
-
-# ----------------------------------------------------------------------
-# Keying
-# ----------------------------------------------------------------------
-_fp_cache: Dict[object, str] = {}
-
-
-def _cell_sig(v) -> tuple:
-    if isinstance(v, np.ndarray):
-        digest = hashlib.sha256(
-            np.ascontiguousarray(v).tobytes()
-        ).hexdigest()[:12]
-        return ("nd", v.dtype.str, list(v.shape), digest)
-    if isinstance(v, (bool, int, float, str, bytes, type(None))):
-        return (type(v).__name__, repr(v))
-    if callable(v):
-        return ("fn", getattr(v, "__qualname__", repr(v)))
-    return ("obj", type(v).__name__, repr(v))
-
-
-def _kernel_fp(kernel) -> str:
-    """Content fingerprint of a kernel: source + closure + defaults.
-
-    Closure cells and defaults are part of the identity because factory
-    -made kernels share source while capturing different parameters.
-    """
-    fp = _fp_cache.get(kernel)
-    if fp is None:
-        try:
-            src = inspect.getsource(kernel)
-        except (OSError, TypeError):
-            src = repr(kernel)
-        cells = [
-            _cell_sig(c.cell_contents)
-            for c in (getattr(kernel, "__closure__", None) or ())
-        ]
-        defaults = [
-            _cell_sig(d)
-            for d in (getattr(kernel, "__defaults__", None) or ())
-        ]
-        payload = json.dumps(
-            [getattr(kernel, "__qualname__", "?"), src, cells, defaults],
-            default=str,
-        )
-        fp = hashlib.sha256(payload.encode()).hexdigest()[:16]
-        _fp_cache[kernel] = fp
-    return fp
-
-
-def _arg_sig(args: tuple) -> Optional[list]:
-    """Per-arg structural signature, or None if any arg is unplannable."""
-    sig = []
-    for a in args:
-        if isinstance(a, DeviceArray):
-            sig.append(["a", a.space.value, a.data.dtype.str,
-                        list(a.data.shape), int(a.base)])
-        elif isinstance(a, _SCALAR_TYPES):
-            sig.append(["s", type(a).__name__])
-        else:
-            return None
-    return sig
-
-
-def _primary_key(kernel, grid: tuple, block: tuple, args_sig: list) -> str:
-    payload = json.dumps({
-        "format": PLAN_FORMAT,
-        "kernel": _kernel_fp(kernel),
-        "grid": list(grid),
-        "block": list(block),
-        "lanes": batch_lanes(),
-        "args": args_sig,
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _variant_key(args: tuple, bake: FrozenSet[int]) -> str:
-    payload = json.dumps([
-        [i, type(args[i]).__name__, repr(args[i])] for i in sorted(bake)
-    ])
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-# ----------------------------------------------------------------------
-# Session store (in-process LRU in front of the artifact cache)
-# ----------------------------------------------------------------------
-_session: "OrderedDict[str, PlanSet]" = OrderedDict()
-
-
-def clear_plans() -> None:
-    """Drop every in-process plan (tests; persisted plans unaffected)."""
-    _session.clear()
-
-
-def _session_get(key: str) -> Optional[PlanSet]:
-    ps = _session.get(key)
-    if ps is not None:
-        _session.move_to_end(key)
-    return ps
-
-
-def _session_put(key: str, ps: PlanSet) -> None:
-    _session[key] = ps
-    _session.move_to_end(key)
-    while len(_session) > SESSION_CAP:
-        _session.popitem(last=False)
-        telemetry.count("gpusim.plan.lru.evict")
-
-
-# ----------------------------------------------------------------------
-# Persistence (npz in the artifact cache)
-# ----------------------------------------------------------------------
-def _acct_save(acct: PlanAccounting, arrays: dict, prefix: str) -> dict:
-    header = {
-        "i": {
-            "issued": acct.issued_warp_insts,
-            "threads": acct.thread_insts,
-            "sh_replays": acct.shared_replays,
-            "const_ser": acct.const_serializations,
-            "const_acc": acct.const_accesses,
-            "tex_acc": acct.tex_accesses,
-            "sh_bytes": acct.shared_bytes_per_block,
-        },
-        "cat": {c.name: n for c, n in acct.category_warp_insts.items()},
-        "mem": {s.name: n for s, n in acct.mem_warp_insts.items()},
-        "has": {
-            "const": acct.cache_streams["const"] is not None,
-            "tex": acct.cache_streams["tex"] is not None,
-            "gl": acct.gl is not None,
-            "tx": acct.tx_presorted is not None,
-        },
-    }
-    arrays[prefix + "occ"] = acct.occupancy_hist
-    for kind in ("const", "tex"):
-        stream = acct.cache_streams[kind]
-        if stream is not None:
-            for k, arr in enumerate(stream):
-                arrays[f"{prefix}{kind}{k}"] = arr
-    if acct.gl is not None:
-        for k, arr in enumerate(acct.gl):
-            arrays[f"{prefix}gl{k}"] = arr
-    if acct.tx_presorted is not None:
-        for k, arr in enumerate(acct.tx_presorted):
-            arrays[f"{prefix}tx{k}"] = arr
-    return header
-
-
-def _acct_load(header: dict, z, prefix: str) -> PlanAccounting:
-    a = PlanAccounting.__new__(PlanAccounting)
-    i = header["i"]
-    a.issued_warp_insts = int(i["issued"])
-    a.thread_insts = int(i["threads"])
-    a.shared_replays = int(i["sh_replays"])
-    a.const_serializations = int(i["const_ser"])
-    a.const_accesses = int(i["const_acc"])
-    a.tex_accesses = int(i["tex_acc"])
-    a.shared_bytes_per_block = int(i["sh_bytes"])
-    a.category_warp_insts = {
-        Category[name]: int(n) for name, n in header["cat"].items()
-    }
-    a.mem_warp_insts = {
-        Space[name]: int(n) for name, n in header["mem"].items()
-    }
-    a.occupancy_hist = z[prefix + "occ"]
-    has = header["has"]
-    a.cache_streams = {}
-    for kind in ("const", "tex"):
-        if has[kind]:
-            a.cache_streams[kind] = tuple(
-                z[f"{prefix}{kind}{k}"] for k in range(3)
-            )
-        else:
-            a.cache_streams[kind] = None
-    a.gl = (tuple(z[f"{prefix}gl{k}"] for k in range(4))
-            if has["gl"] else None)
-    a.tx_presorted = (tuple(z[f"{prefix}tx{k}"] for k in range(3))
-                      if has["tx"] else None)
-    return a
-
-
-def _save_planset(ps: PlanSet, path: str) -> None:
-    arrays: dict = {}
-    variants = []
-    for vi, (vkey, plan) in enumerate(ps.variants.items()):
-        tags = []
-        for j, v in enumerate(plan.pool):
-            if isinstance(v, np.ndarray):
-                tags.append("nd")
-            elif isinstance(v, (bool, int, float)):
-                tags.append(["py", type(v).__name__])
-            else:  # numpy scalar (pool admission guarantees the type)
-                tags.append("np")
-            arrays[f"v{vi}p{j}"] = np.asarray(v)
-        acct_header = _acct_save(plan.acct, arrays, f"v{vi}a")
-        variants.append({
-            "vkey": vkey,
-            "steps": plan.steps,
-            "pool": tags,
-            "shared": [[list(shape), dt] for shape, dt in plan.shared_specs],
-            "n_guards": plan.n_guards,
-            "acct": acct_header,
-        })
-    header = {
-        "format": PLAN_FORMAT,
-        "kernel": ps.kernel_name,
-        "bake": sorted(ps.bake),
-        "variants": variants,
-    }
-    arrays["header"] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez_compressed(path, **arrays)
-
-
-def _load_planset(path) -> Optional[PlanSet]:
-    try:
-        with np.load(path, allow_pickle=False) as z:
-            header = json.loads(bytes(z["header"]).decode("utf-8"))
-            if header.get("format") != PLAN_FORMAT:
-                return None
-            ps = PlanSet(header["kernel"], header["bake"])
-            for vi, vh in enumerate(header["variants"]):
-                pool: List[object] = []
-                for j, tag in enumerate(vh["pool"]):
-                    a = z[f"v{vi}p{j}"]
-                    if tag == "nd":
-                        pool.append(a)
-                    elif tag == "np":
-                        pool.append(a[()])
-                    else:
-                        cast = {"bool": bool, "int": int,
-                                "float": float}[tag[1]]
-                        pool.append(cast(a[()]))
-                steps = [tuple(s) for s in vh["steps"]]
-                specs = [(tuple(shape), dt) for shape, dt in vh["shared"]]
-                acct = _acct_load(vh["acct"], z, f"v{vi}a")
-                ps.variants[vh["vkey"]] = Plan(
-                    header["kernel"], steps, pool, specs, acct,
-                    int(vh["n_guards"]),
-                )
-            return ps
-    except Exception:
-        return None
-
-
-def _disk_cache():
-    from repro.core.artifacts import get_artifact_cache
-    return get_artifact_cache()
-
-
-def _disk_load(kernel_name: str, key: str) -> Optional[PlanSet]:
-    cache = _disk_cache()
-    if cache is None:
-        return None
-    path = cache.get_plan_file(kernel_name, key)
-    if path is None:
-        return None
-    ps = _load_planset(path)
-    if ps is None:
-        telemetry.count("gpusim.plan.load_failed")
-    return ps
-
-
-def _disk_store(kernel_name: str, key: str, ps: PlanSet) -> None:
-    cache = _disk_cache()
-    if cache is None:
-        return
-    try:
-        cache.put_plan_file(
-            kernel_name, key, lambda tmp: _save_planset(ps, tmp)
-        )
-    except Exception:
-        telemetry.count("gpusim.plan.save_failed")
-
-
-def _disk_drop(kernel_name: str, key: str) -> None:
-    cache = _disk_cache()
-    if cache is None:
-        return
-    try:
-        os.unlink(cache.plan_path(kernel_name, key))
-    except OSError:
-        pass
-
-
-# ----------------------------------------------------------------------
-# Launch entry point
-# ----------------------------------------------------------------------
-def _block_batches() -> list:
-    from repro.gpusim.gpu import BLOCK_BATCHES
-    return BLOCK_BATCHES
-
-
-def _count_batched(issued: int, threads: int, n_blocks: int) -> None:
-    """The counter set the batched engine emits for a committed launch.
-
-    Replays and trace launches emit the identical ``gpusim.batch.*``
-    telemetry so every counter contract holds regardless of routing.
-    """
-    telemetry.count("gpusim.batch.warp_insts", issued)
-    telemetry.count("gpusim.batch.active_lanes", threads)
-    telemetry.count("gpusim.batch.launches.batched")
-    telemetry.count("gpusim.batch.blocks.batched", n_blocks)
-
-
-def try_plan(gpu, kernel, launch: LaunchTrace, grid: tuple, block: tuple,
-             args: tuple, n_blocks: int) -> bool:
-    """Replay or trace a plan for this launch; False routes to the engine.
-
-    On False the launch trace and device memory are untouched and the
-    kernel may have been marked unplannable on ``gpu``.
-    """
-    args_sig = _arg_sig(args)
-    if args_sig is None:
-        gpu._plan_unplannable.add(kernel)
-        return False
-    key = _primary_key(kernel, grid, block, args_sig)
-
-    ps = _session_get(key)
-    if ps is None:
-        ps = _disk_load(launch.kernel_name, key)
-        if ps is not None:
-            _session_put(key, ps)
-    if ps is not None:
-        try:
-            vkey = _variant_key(args, ps.bake)
-            plan = ps.variants.get(vkey)
-        except Exception:
-            plan = None
-        if plan is not None:
-            ps.variants.move_to_end(vkey)
-            try:
-                with telemetry.span(
-                    "plan_replay", kernel=launch.kernel_name,
-                    blocks=n_blocks,
-                ):
-                    _replay(plan, gpu, launch, args)
-            except PlanDivergence:
-                ps.variants.pop(vkey, None)
-                _session.pop(key, None)
-                _disk_drop(launch.kernel_name, key)
-                gpu._plan_unplannable.add(kernel)
-                telemetry.count("gpusim.plan.invalidated")
-                return False
-            _count_batched(plan.acct.issued_warp_insts,
-                           plan.acct.thread_insts, n_blocks)
-            _block_batches().append(
-                (launch.kernel_name, "batched", n_blocks)
-            )
-            record_route(launch.kernel_name, "replay", n_blocks)
-            telemetry.count("gpusim.plan.launches.replayed")
-            telemetry.count("gpusim.plan.blocks.replayed", n_blocks)
-            return True
-
-    # No usable variant: trace this launch, baking scalar slots the
-    # trace turns out to depend on (bounded by the scalar arg count).
-    bake = set(ps.bake) if ps is not None else set()
-    n_scalars = sum(1 for s in args_sig if s[0] == "s")
-    plan = None
-    for _ in range(n_scalars + 2):
-        tracer = _Tracer(gpu, grid, block, frozenset(bake))
-        try:
-            tracer.run(kernel, args, n_blocks)
-        except _NeedsBake as nb:
-            tracer.restore()
-            new = set(nb.slots) - bake
-            if not new:  # no progress possible; treat as unplannable
-                gpu._plan_unplannable.add(kernel)
-                telemetry.count("gpusim.plan.launches.aborted")
-                return False
-            bake |= new
-            telemetry.count("gpusim.plan.bakes", len(new))
-            continue
-        except Exception:
-            # PlanAbort, or the same failure the batched engine would
-            # hit (per-block host scalars, kernel faults): restore and
-            # let the launch re-run on the engine, which reproduces the
-            # real error/fallback path.
-            tracer.restore()
-            gpu._plan_unplannable.add(kernel)
-            telemetry.count("gpusim.plan.launches.aborted")
-            return False
-        plan = tracer.finalize(launch.kernel_name)
-        break
-    if plan is None:
-        gpu._plan_unplannable.add(kernel)
-        telemetry.count("gpusim.plan.launches.aborted")
-        return False
-
-    # The trace already executed the launch through the real batch
-    # machinery: commit its buffer (bit-identical by construction) with
-    # the engine's own counter set.
-    _count_batched(tracer.buf.issued_warp_insts, tracer.buf.thread_insts,
-                   n_blocks)
-    tracer.buf.commit(launch, gpu.tex_cache, gpu.const_cache)
-    _block_batches().append((launch.kernel_name, "batched", n_blocks))
-    record_route(launch.kernel_name, "trace", n_blocks)
-    telemetry.count("gpusim.plan.launches.traced")
-
-    if ps is None:
-        ps = PlanSet(launch.kernel_name, bake)
-    elif ps.bake != frozenset(bake):
-        # Variant keys are relative to the bake basis; a wider basis
-        # invalidates previously keyed variants.
-        ps.bake = frozenset(bake)
-        ps.variants.clear()
-    vkey = _variant_key(args, ps.bake)
-    ps.variants[vkey] = plan
-    ps.variants.move_to_end(vkey)
-    while len(ps.variants) > VARIANT_CAP:
-        ps.variants.popitem(last=False)
-    _session_put(key, ps)
-    _disk_store(launch.kernel_name, key, ps)
-    return True
+# Kept only because benchmarks/e2e/layertrace.py reads PLAN_ROUTES by name.
+from repro.gpusim.gpu import LAUNCH_ROUTES as PLAN_ROUTES  # noqa: F401

@@ -11,21 +11,16 @@ rely on:
     trace = load_trace("bfs.npz")
     TimingModel(my_config).time(trace)
 
-Two formats, both plain ``.npz`` zips that load back bit-identically:
-
-- **v2 (current)** — columnar segments: the transaction streams of all
-  launches concatenate into one global record stream, cut into groups of
-  ``~chunk_rows`` rows; each group stores delta-encoded addresses, block
-  ids, and bit-packed store flags as separate compressed members, plus a
-  JSON header with per-launch row counts.  Groups are written and read
-  one at a time, so saving or loading a spilled LARGE trace never
-  materializes the full stream; fewer, larger zip members and the
-  delta/bit-packed encodings also make warm loads measurably faster and
-  smaller than v1 (gated in ``benchmarks/test_bench_trace_pipeline.py``).
-- **v1 (legacy)** — dense per-launch ``l{i}_tx_*`` arrays.  The reader
-  is kept for backward compatibility with existing artifacts, and the
-  writer remains available (``save_trace(..., version=1)``) for the
-  round-trip test and for producing artifacts older readers understand.
+The file is a plain ``.npz`` zip in a columnar layout (format 2) that
+loads back bit-identically: the transaction streams of all launches
+concatenate into one global record stream, cut into groups of
+``~chunk_rows`` rows; each group stores delta-encoded addresses, block
+ids, and bit-packed store flags as separate compressed members, plus a
+JSON header with per-launch row counts.  Groups are written and read one
+at a time, so saving or loading a spilled LARGE trace never materializes
+the full stream.  A file in any other format (the dense per-launch
+format 1 included) raises ``ValueError``, which the artifact cache
+treats as a miss.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from repro.gpusim.isa import Category, Space
 from repro.gpusim.trace import KernelTrace
 
 _FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
 
 _INT_FIELDS = (
     "thread_insts",
@@ -98,22 +92,13 @@ def _write_member(zf: zipfile.ZipFile, name: str, arr: np.ndarray) -> None:
         )
 
 
-def save_trace(
-    trace: KernelTrace,
-    path: Union[str, "os.PathLike"],
-    version: int = _FORMAT_VERSION,
-) -> None:
-    """Write a trace to a ``.npz`` file (v2 columnar by default)."""
-    if version not in _SUPPORTED_VERSIONS:
-        raise ValueError(f"unsupported trace format {version!r}")
-    if version == 1:
-        _save_trace_v1(trace, path)
-        return
+def save_trace(trace: KernelTrace, path: Union[str, "os.PathLike"]) -> None:
+    """Write a trace to a ``.npz`` file."""
     from repro.common.config import config
 
     group_rows = config().trace_chunk_rows
     header = {
-        "format": 2,
+        "format": _FORMAT_VERSION,
         "app_name": trace.app_name,
         "launches": [],
         "groups": [],
@@ -174,45 +159,14 @@ def save_trace(
         )
 
 
-def _save_trace_v1(trace: KernelTrace, path) -> None:
-    """Legacy dense per-launch layout (readable by pre-v2 code)."""
-    header = {
-        "format": 1,
-        "app_name": trace.app_name,
-        "launches": [],
-    }
-    arrays = {}
-    for i, lt in enumerate(trace.launches):
-        header["launches"].append(_launch_meta(lt))
-        addrs, blocks, stores = lt.transactions()
-        arrays[f"l{i}_occupancy"] = lt.occupancy_hist
-        arrays[f"l{i}_tx_addr"] = addrs
-        arrays[f"l{i}_tx_block"] = blocks
-        arrays[f"l{i}_tx_store"] = stores
-    arrays["header"] = np.frombuffer(
-        json.dumps(header).encode("utf-8"), dtype=np.uint8
-    )
-    np.savez_compressed(path, **arrays)
-
-
 def load_trace(path: Union[str, "os.PathLike"]) -> KernelTrace:
-    """Read a trace written by :func:`save_trace` (any supported version)."""
+    """Read a trace written by :func:`save_trace`."""
     with np.load(path) as data:
         header = json.loads(bytes(data["header"].tobytes()).decode("utf-8"))
         version = header.get("format")
-        if version not in _SUPPORTED_VERSIONS:
+        if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported trace format {version!r}")
         trace = KernelTrace(header["app_name"])
-        if version == 1:
-            for i, meta in enumerate(header["launches"]):
-                lt = _restore_launch(trace, meta)
-                lt.occupancy_hist = data[f"l{i}_occupancy"].copy()
-                addrs = data[f"l{i}_tx_addr"]
-                if addrs.size:
-                    lt.record_transaction_stream(
-                        addrs, data[f"l{i}_tx_block"], data[f"l{i}_tx_store"]
-                    )
-            return trace
         launches = []
         remaining = []
         for i, meta in enumerate(header["launches"]):

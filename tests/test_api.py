@@ -25,7 +25,7 @@ from repro.common.config import SimScale
 class TestExperimentRequest:
     def test_roundtrip_dict_and_json(self):
         req = ExperimentRequest("fig1", SimScale.TINY,
-                                config={"gpu_plan": False})
+                                config={"gpu_batch": False})
         assert ExperimentRequest.from_dict(req.to_dict()) == req
         assert ExperimentRequest.from_json(req.to_json()) == req
 
@@ -35,11 +35,11 @@ class TestExperimentRequest:
     def test_content_key_is_stable_and_order_insensitive(self):
         a = ExperimentRequest(
             "fig1", SimScale.SMALL,
-            config={"gpu_plan": True, "gpu_batch_lanes": 64},
+            config={"gpu_batch": True, "gpu_batch_lanes": 64},
         )
         b = ExperimentRequest(
             "fig1", SimScale.SMALL,
-            config={"gpu_batch_lanes": 64, "gpu_plan": True},
+            config={"gpu_batch_lanes": 64, "gpu_batch": True},
         )
         assert a.content_key() == b.content_key()
         assert len(a.content_key()) == 16
@@ -50,7 +50,7 @@ class TestExperimentRequest:
             ExperimentRequest("fig1", SimScale.SMALL).content_key(),
             ExperimentRequest("fig2", SimScale.TINY).content_key(),
             ExperimentRequest(
-                "fig1", SimScale.TINY, config={"gpu_plan": False}
+                "fig1", SimScale.TINY, config={"gpu_batch": False}
             ).content_key(),
         }
         assert len(keys) == 4
@@ -58,10 +58,18 @@ class TestExperimentRequest:
     def test_rejects_unknown_override(self):
         with pytest.raises(ValueError, match="cache_dir"):
             ExperimentRequest("fig1", config={"cache_dir": "/elsewhere"})
+        # The error lists every key that may be overridden.
+        allowed = ["gpu_batch", "gpu_batch_lanes", "trace_budget",
+                   "trace_chunk_rows"]
+        with pytest.raises(ValueError) as err:
+            ExperimentRequest("fig1", config={"gpu_plan": False})
+        assert str(err.value) == (
+            f"config override 'gpu_plan' is not allowed; overridable: {allowed}"
+        )
 
     def test_rejects_badly_typed_override(self):
-        with pytest.raises(ValueError, match="gpu_plan"):
-            ExperimentRequest("fig1", config={"gpu_plan": "yes"})
+        with pytest.raises(ValueError, match="gpu_batch"):
+            ExperimentRequest("fig1", config={"gpu_batch": "yes"})
         with pytest.raises(ValueError, match="gpu_batch_lanes"):
             ExperimentRequest("fig1", config={"gpu_batch_lanes": True})
 
@@ -143,14 +151,6 @@ class TestRunExperimentRequestForm:
             ExperimentRequest("table1", SimScale.TINY).to_dict()
         )
 
-    def test_legacy_spelling_warns_and_matches(self):
-        from repro.experiments import run_experiment
-
-        with pytest.warns(DeprecationWarning, match="ExperimentRequest"):
-            legacy = run_experiment("table1", SimScale.TINY)
-        modern = run_experiment(ExperimentRequest("table1", SimScale.TINY))
-        assert legacy.data == modern.data
-
     def test_request_plus_scale_is_an_error(self):
         from repro.experiments import run_experiment
 
@@ -158,6 +158,9 @@ class TestRunExperimentRequestForm:
             run_experiment(
                 ExperimentRequest("table1", SimScale.TINY), SimScale.TINY
             )
+        # The old ("id", scale) spelling is no longer accepted either.
+        with pytest.raises(TypeError, match="inside ExperimentRequest"):
+            run_experiment("table1", SimScale.TINY)
 
     def test_config_override_applies_during_driver(self):
         from repro.common.config import config

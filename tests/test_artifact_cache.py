@@ -72,6 +72,11 @@ def test_missing_and_corrupt_entries_miss(cache, tmp_path):
     path.write_text("{not json", encoding="utf-8")
     assert cache.get_cpu("demo", SimScale.TINY, "bad") is None
     assert cache.get_gpu("demo", SimScale.TINY, "nothere") is None
+    # A trace in the retired dense layout (format 1) is a miss too.
+    header = json.dumps({"format": 1, "app_name": "demo", "launches": []})
+    np.savez(cache._path("gpu", "demo", SimScale.TINY, "v1", ".npz"),
+             header=np.frombuffer(header.encode("utf-8"), dtype=np.uint8))
+    assert cache.get_gpu("demo", SimScale.TINY, "v1") is None
 
 
 def test_gpu_trace_round_trip(cache):
@@ -157,6 +162,34 @@ def test_env_disable(monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/somewhere")
     c = artifacts.default_cache()
     assert c is not None and str(c.root) == "/tmp/somewhere"
+
+
+def test_prune_plans_entry_budget_is_lru(tmp_path):
+    import time
+
+    cache = artifacts.ArtifactCache(tmp_path)
+    for i in range(4):
+        cache.put_plan_file(f"k{i}", "0" * 16,
+                            lambda tmp: open(tmp, "wb").write(b"x" * 64))
+        time.sleep(0.01)
+    assert cache.prune_plans(max_entries=2) == 2
+    kept = sorted(p.name for p in tmp_path.glob("plan-*.npz"))
+    assert kept == [f"plan-k2-{'0' * 16}.npz", f"plan-k3-{'0' * 16}.npz"]
+
+
+def test_prune_plans_byte_budget_keeps_newest(tmp_path):
+    import time
+
+    cache = artifacts.ArtifactCache(tmp_path)
+    for i in range(3):
+        cache.put_plan_file(f"b{i}", "1" * 16,
+                            lambda tmp: open(tmp, "wb").write(b"x" * 100))
+        time.sleep(0.01)
+    # Budget fits one file: newest survives even though it alone
+    # busts the budget check for subsequent entries.
+    assert cache.prune_plans(max_entries=10, max_bytes=150) == 2
+    kept = [p.name for p in tmp_path.glob("plan-*.npz")]
+    assert kept == [f"plan-b2-{'1' * 16}.npz"]
 
 
 def test_runner_warm_cache_skips_executions(capsys):
@@ -278,3 +311,14 @@ def test_stale_or_truncated_cpu_entry_reexecutes_once(ext_cold):
     with _fresh_process(cache):
         assert _run(argv) == expected
         assert features.EXECUTIONS == []
+
+
+def test_cold_gpu_run_writes_no_plan_files(tmp_path):
+    """Every launch runs on the batch (or scalar) engine: a cold GPU run
+    persists kernel traces and nothing else."""
+    cache = ArtifactCache(tmp_path / "gpu-cache")
+    with _fresh_process(cache):
+        _run(["run", "fig1", "ext_parsec_ports", "--scale", "tiny",
+              "--registry", "off"])
+    assert list(cache.root.glob("gpu-*.npz"))
+    assert list(cache.root.glob("plan-*.npz")) == []

@@ -4,6 +4,7 @@ reproduces the paper's qualitative claims (the 'shape' checks)."""
 import numpy as np
 import pytest
 
+from repro.api import ExperimentRequest
 from repro.common.config import SimScale
 from repro.experiments import ALL_EXPERIMENTS, ExperimentResult, get_driver
 
@@ -201,7 +202,7 @@ class TestTypedAPI:
 
     def test_run_experiment_fills_provenance(self):
         from repro.experiments import run_experiment
-        res = run_experiment("table1", SCALE)
+        res = run_experiment(ExperimentRequest("table1", SCALE))
         assert isinstance(res, ExperimentResult)
         assert res.id == res.experiment == "table1"
         assert res.title.startswith("Table I")
@@ -212,7 +213,7 @@ class TestTypedAPI:
 
     def test_rows_are_typed_dicts(self):
         from repro.experiments import run_experiment
-        res = run_experiment("table1", SCALE)
+        res = run_experiment(ExperimentRequest("table1", SCALE))
         assert len(res.rows) == 12
         assert all(row["_table"] == res.title for row in res.rows)
         assert {"Application", "Dwarf", "Domain"} <= set(res.rows[0])
@@ -223,7 +224,7 @@ class TestTypedAPI:
         sink = telemetry.MemorySink()
         assert telemetry.start(sink)
         try:
-            res = run_experiment("table1", SCALE)
+            res = run_experiment(ExperimentRequest("table1", SCALE))
         finally:
             telemetry.stop()
         opens = [e for e in sink.events if e["ev"] == "span_open"]
@@ -233,7 +234,7 @@ class TestTypedAPI:
 
     def test_report_is_a_driver(self):
         from repro.experiments import run_experiment
-        res = run_experiment("report", SCALE)
+        res = run_experiment(ExperimentRequest("report", SCALE))
         assert res.id == "report"
         assert res.tables == []
         assert "# Workload characterization report" in res.render()

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro import telemetry
+from repro.api import ExperimentRequest
 from repro.common.config import SimScale, config
 from repro.fidelity import (
     DriftReport,
@@ -222,7 +223,7 @@ class TestGoldens:
         """The simulators are deterministic: a fresh run IS the golden."""
         from repro.experiments import run_experiment
 
-        result = run_experiment("fig3", SimScale.TINY)
+        result = run_experiment(ExperimentRequest("fig3", SimScale.TINY))
         metrics = flatten_metrics("fig3", result.data)
         report = check_drift(metrics, paper_goldens("tiny"),
                              "paper", "tiny")
@@ -242,7 +243,7 @@ class TestRunExperimentRegistry:
 
         reg_dir = tmp_path / "reg"
         with override(registry_dir=str(reg_dir)):
-            result = run_experiment("fig3", SimScale.TINY)
+            result = run_experiment(ExperimentRequest("fig3", SimScale.TINY))
         assert "registry_record" in result.metadata
         records = RunRegistry(reg_dir).records("experiment")
         assert len(records) == 1

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.common.config import SimScale
-from repro.gpusim import BLOCK_BATCHES, GPU
+from repro.gpusim import GPU, LAUNCH_ROUTES
 from repro.workloads import base as wl
 
 wl.load_all()
@@ -81,10 +82,12 @@ def _run_workload(name, version, scale, batch, monkeypatch):
 class TestRodiniaEquivalence:
     @pytest.mark.parametrize("name", GPU_WORKLOADS)
     def test_small_scale_bit_identical(self, name, monkeypatch):
-        del BLOCK_BATCHES[:]
+        del LAUNCH_ROUTES[:]
         tb, rb = _run_workload(name, None, SimScale.SMALL, True, monkeypatch)
-        routed = list(BLOCK_BATCHES)
+        routed = list(LAUNCH_ROUTES)
+        del LAUNCH_ROUTES[:]
         ts, rs = _run_workload(name, None, SimScale.SMALL, False, monkeypatch)
+        assert {how for _, how, _ in LAUNCH_ROUTES} == {"scalar"}, name
         assert_trace_equal(tb, ts, name)
         assert len(rb) == len(rs)
         for u, v in zip(rb, rs):
@@ -92,9 +95,9 @@ class TestRodiniaEquivalence:
         # The batched engine must actually engage, and only the known
         # per-block-scalar kernels may fall back.
         assert routed, name
-        fallbacks = {k for k, how, _ in routed if how == "fallback"}
+        fallbacks = {k for k, how, _ in routed if how == "scalar"}
         assert fallbacks <= KNOWN_FALLBACKS, name
-        batched = [e for e in routed if e[1] == "batched"]
+        batched = [e for e in routed if e[1] == "batch"]
         assert batched or {k for k, _, _ in routed} <= KNOWN_FALLBACKS, name
 
     @pytest.mark.parametrize("name,version", VERSIONED)
@@ -184,7 +187,7 @@ class TestAdversarialDivergence:
 class TestEngineMechanics:
     def test_toggle_off_disables_batching(self, monkeypatch):
         monkeypatch.setenv("REPRO_GPU_BATCH", "off")
-        del BLOCK_BATCHES[:]
+        del LAUNCH_ROUTES[:]
         gpu = GPU()
         out = gpu.alloc(256, dtype=np.int64)
 
@@ -192,7 +195,7 @@ class TestEngineMechanics:
             ctx.store(out, ctx.gtid, ctx.gtid)
 
         gpu.launch(k, 4, 64, out)
-        assert BLOCK_BATCHES == []
+        assert LAUNCH_ROUTES == [("k", "scalar", 4)]
         np.testing.assert_array_equal(out.to_host(), np.arange(256))
 
     def test_chunked_batches_bit_identical(self, monkeypatch):
@@ -232,15 +235,15 @@ class TestEngineMechanics:
         results = {}
         for mode in ("on", "off"):
             monkeypatch.setenv("REPRO_GPU_BATCH", mode)
-            del BLOCK_BATCHES[:]
+            del LAUNCH_ROUTES[:]
             gpu = GPU()
             out = gpu.alloc(128, dtype=np.int64)
             gpu.launch(k, 2, 64, out)
-            results[mode] = (gpu.trace, out.to_host(), list(BLOCK_BATCHES))
+            results[mode] = (gpu.trace, out.to_host(), list(LAUNCH_ROUTES))
         assert_trace_equal(results["on"][0], results["off"][0], "fallback")
         np.testing.assert_array_equal(results["on"][1], results["off"][1])
-        assert [(e[1], e[2]) for e in results["on"][2]] == [("fallback", 2)]
-        assert results["off"][2] == []
+        assert results["on"][2] == [("k", "scalar", 2)]
+        assert results["off"][2] == [("k", "scalar", 2)]
 
     def test_local_scratch_write_falls_back(self, monkeypatch):
         """Host-allocated LOCAL scratch is sized per block and reused by
@@ -255,16 +258,16 @@ class TestEngineMechanics:
         results = {}
         for mode in ("on", "off"):
             monkeypatch.setenv("REPRO_GPU_BATCH", mode)
-            del BLOCK_BATCHES[:]
+            del LAUNCH_ROUTES[:]
             gpu = GPU()
             scratch = gpu.alloc(32, dtype=np.int64, space=Space.LOCAL)
             out = gpu.alloc(128, dtype=np.int64)
             gpu.launch(k, 4, 32, scratch, out)
-            results[mode] = (gpu.trace, out.to_host(), list(BLOCK_BATCHES))
+            results[mode] = (gpu.trace, out.to_host(), list(LAUNCH_ROUTES))
         assert_trace_equal(results["on"][0], results["off"][0], "local")
         np.testing.assert_array_equal(results["on"][1], results["off"][1])
         np.testing.assert_array_equal(results["on"][1], np.arange(128) * 2)
-        assert [e[1] for e in results["on"][2]] == ["fallback"]
+        assert [e[1] for e in results["on"][2]] == ["scalar"]
 
     def test_fallback_memoized_per_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_GPU_BATCH", "on")
@@ -275,16 +278,23 @@ class TestEngineMechanics:
 
         gpu = GPU()
         out = gpu.alloc(64, dtype=np.int64)
-        del BLOCK_BATCHES[:]
-        gpu.launch(k, 2, 32, out)
-        gpu.launch(k, 2, 32, out)
-        # First launch records the failed attempt; the second goes
-        # straight to the scalar engine.
-        assert [e[1] for e in BLOCK_BATCHES] == ["fallback"]
+        del LAUNCH_ROUTES[:]
+        telemetry.start()
+        try:
+            gpu.launch(k, 2, 32, out)
+            gpu.launch(k, 2, 32, out)
+            counters = telemetry.counters()
+        finally:
+            telemetry.stop()
+        # Both launches run on the scalar engine, but only the first
+        # attempts (and rolls back) a batch; the second goes straight
+        # to the scalar engine.
+        assert [e[1] for e in LAUNCH_ROUTES] == ["scalar", "scalar"]
+        assert counters["gpusim.batch.launches.fallback"] == 1
 
     def test_probe_records_engagement(self, monkeypatch):
         monkeypatch.setenv("REPRO_GPU_BATCH", "on")
-        del BLOCK_BATCHES[:]
+        del LAUNCH_ROUTES[:]
         gpu = GPU()
         out = gpu.alloc(256, dtype=np.int64)
 
@@ -292,4 +302,4 @@ class TestEngineMechanics:
             ctx.store(out, ctx.gtid, ctx.gtid * 3)
 
         gpu.launch(k, 4, 64, out)
-        assert BLOCK_BATCHES == [("k", "batched", 4)]
+        assert LAUNCH_ROUTES == [("k", "batch", 4)]

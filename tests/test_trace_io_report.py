@@ -65,7 +65,7 @@ class TestTraceIO:
 
 
 class TestTraceIOVersions:
-    """Both on-disk layouts load; the v1 writer stays exercised."""
+    """The columnar layout (format 2) round-trips at any group size."""
 
     def _trace(self):
         gpu = GPU()
@@ -82,12 +82,6 @@ class TestTraceIOVersions:
             for ca, cb in zip(la.transactions(), lb.transactions()):
                 np.testing.assert_array_equal(ca, cb)
 
-    def test_v1_writer_roundtrip(self, tmp_path):
-        trace = self._trace()
-        path = tmp_path / "v1.npz"
-        save_trace(trace, path, version=1)
-        self._assert_equal(trace, load_trace(path))
-
     def test_v2_roundtrip_with_split_groups(self, tmp_path):
         from repro.common import config as cfgmod
 
@@ -98,19 +92,6 @@ class TestTraceIOVersions:
         with cfgmod.override(trace_chunk_rows=777):
             save_trace(trace, path)
         self._assert_equal(trace, load_trace(path))
-
-    def test_v2_smaller_than_v1(self, tmp_path):
-        trace = self._trace()
-        p1, p2 = tmp_path / "v1.npz", tmp_path / "v2.npz"
-        save_trace(trace, p1, version=1)
-        save_trace(trace, p2)
-        # Delta-encoded addresses + packed store bits compress far
-        # better than per-launch dense columns.
-        assert p2.stat().st_size < p1.stat().st_size
-
-    def test_unsupported_save_version_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            save_trace(self._trace(), tmp_path / "x.npz", version=3)
 
 
 class TestLoadBalance:
