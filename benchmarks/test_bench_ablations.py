@@ -11,8 +11,7 @@ import pytest
 from repro.common.config import SimScale
 from repro.core import fcluster, linkage
 from repro.core.features import feature_matrix, gpu_trace_for, suite_workloads
-from repro.cpusim import Machine
-from repro.cpusim.sharing import analyze_sharing
+from repro.cpusim import Machine, analyze_sharing_chunked
 from repro.gpusim import GPUConfig, TimingModel
 from repro.gpusim.memory import coalesce
 
@@ -51,7 +50,7 @@ def test_interleave_quantum_sensitivity(benchmark, scale):
     def sharing_at(quantum):
         m = Machine(quantum=quantum)
         hotspot.cpu_run(m, SimScale.TINY)
-        return analyze_sharing(*m.trace()).frac_lines_shared
+        return analyze_sharing_chunked(m.iter_trace_chunks).frac_lines_shared
 
     def run():
         return sharing_at(16), sharing_at(256)

@@ -1,12 +1,12 @@
-"""Micro-benchmarks: vectorized analytics engines vs. scalar oracles.
+"""Micro-benchmarks: streaming analytics engines vs. scalar oracles.
 
 The headline number is the reuse-distance histogram on a >= 1M-access
-synthetic trace: the batch engine must be at least 5x faster than the
-scalar Fenwick walk while producing an identical histogram.  The other
-benchmarks time the cache-sweep, sharing, and coherence engines on the
-same trace family and assert exact agreement (speedups printed for the
-record; their scalar baselines are too slow to gate tightly at this
-size).
+synthetic trace: the streaming engine, fed the trace as one chunk, must
+be at least 5x faster than the scalar Fenwick walk while producing an
+identical histogram.  The other benchmarks time the sharing and
+coherence engines on the same trace family and assert exact agreement
+(speedups printed for the record; their scalar baselines are too slow
+to gate tightly at this size).
 """
 
 import dataclasses
@@ -40,8 +40,12 @@ def trace():
     return _synthetic_trace()
 
 
+def _one_chunk(*cols):
+    return lambda: iter([cols])
+
+
 def test_reuse_histogram_speedup(trace):
-    from repro.analytics.reuse import reuse_distance_histogram_batch
+    from repro.analytics.chunked import reuse_histogram_chunked
     from repro.cpusim.reuse import reuse_distance_histogram_scalar
 
     addrs, _, _ = trace
@@ -50,7 +54,7 @@ def test_reuse_histogram_speedup(trace):
     scalar_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    hist_b, cold_b = reuse_distance_histogram_batch(addrs)
+    hist_b, cold_b = reuse_histogram_chunked(_one_chunk(addrs))
     batch_s = time.perf_counter() - t0
 
     assert cold_s == cold_b
@@ -67,42 +71,16 @@ def test_reuse_histogram_speedup(trace):
     assert speedup >= 5.0, f"batch path only {speedup:.1f}x faster"
 
 
-def test_miss_rate_sweep_speedup(trace):
-    from repro.analytics.cache import miss_rates_exact_batch
-    from repro.cpusim.cache import PAPER_CACHE_SIZES, SharedCache
-
-    addrs, _, _ = trace
-    t0 = time.perf_counter()
-    got = miss_rates_exact_batch(addrs, PAPER_CACHE_SIZES)
-    batch_s = time.perf_counter() - t0
-
-    # Scalar baseline on one size only (the full 8-size scalar sweep
-    # takes minutes); scale the comparison accordingly.
-    size = PAPER_CACHE_SIZES[0]
-    ref = SharedCache(size)
-    lines = (addrs // 64).tolist()
-    t0 = time.perf_counter()
-    for l in lines:
-        ref.access_line(l)
-    scalar_one_size_s = time.perf_counter() - t0
-
-    assert got[size] == pytest.approx(ref.stats.miss_rate, abs=0)
-    est_scalar_sweep = scalar_one_size_s * len(PAPER_CACHE_SIZES)
-    print(
-        f"\n8-size sweep {addrs.size:,} accesses: batch {batch_s:.2f}s, "
-        f"scalar est. {est_scalar_sweep:.2f}s "
-        f"({est_scalar_sweep / batch_s:.1f}x)"
-    )
-    assert batch_s < est_scalar_sweep
-
-
 def test_sharing_at_size_speedup(trace):
-    from repro.cpusim.sharing import sharing_at_size, sharing_at_size_scalar
+    from repro.cpusim.sharing import (
+        sharing_at_size_chunked,
+        sharing_at_size_scalar,
+    )
 
     addrs, tids, _ = trace
     size = 1 * 1024 * 1024
     t0 = time.perf_counter()
-    fast = sharing_at_size(addrs, tids, size)
+    fast = sharing_at_size_chunked(_one_chunk(addrs, tids), size)
     batch_s = time.perf_counter() - t0
 
     sub = slice(0, 100_000)  # scalar baseline on a tenth of the trace
@@ -110,7 +88,7 @@ def test_sharing_at_size_speedup(trace):
     ref = sharing_at_size_scalar(addrs[sub], tids[sub], size)
     scalar_sub_s = time.perf_counter() - t0
 
-    check = sharing_at_size(addrs[sub], tids[sub], size)
+    check = sharing_at_size_chunked(_one_chunk(addrs[sub], tids[sub]), size)
     assert (check.shared_accesses, check.lifetimes, check.shared_lifetimes) \
         == (ref.shared_accesses, ref.lifetimes, ref.shared_lifetimes)
     print(
@@ -122,13 +100,13 @@ def test_sharing_at_size_speedup(trace):
 
 def test_coherence_speedup(trace):
     from repro.cpusim.coherence import (
-        simulate_coherent_caches,
+        simulate_coherent_caches_chunked,
         simulate_coherent_caches_scalar,
     )
 
     addrs, tids, writes = trace
     t0 = time.perf_counter()
-    fast = simulate_coherent_caches(addrs, tids, writes)
+    fast = simulate_coherent_caches_chunked(_one_chunk(addrs, tids, writes))
     batch_s = time.perf_counter() - t0
 
     sub = slice(0, 100_000)
@@ -136,7 +114,9 @@ def test_coherence_speedup(trace):
     ref = simulate_coherent_caches_scalar(addrs[sub], tids[sub], writes[sub])
     scalar_sub_s = time.perf_counter() - t0
 
-    check = simulate_coherent_caches(addrs[sub], tids[sub], writes[sub])
+    check = simulate_coherent_caches_chunked(
+        _one_chunk(addrs[sub], tids[sub], writes[sub])
+    )
     assert dataclasses.asdict(check) == dataclasses.asdict(ref)
     print(
         f"\ncoherence {addrs.size:,} accesses: batch {batch_s:.2f}s; "

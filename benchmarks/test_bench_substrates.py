@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from repro.core import PCA, linkage
-from repro.cpusim import Machine
-from repro.cpusim.cache import simulate_shared_cache
-from repro.cpusim.reuse import miss_rate_curve
-from repro.cpusim.sharing import analyze_sharing
+from repro.cpusim import (
+    Machine,
+    SharedCache,
+    analyze_sharing_chunked,
+    miss_rate_curve_chunked,
+)
 from repro.gpusim import GPU
 from repro.workloads.rodinia.suffixtree import SuffixTree
 
@@ -63,16 +65,19 @@ def trace_1m():
 
 
 def test_exact_cache_sim_speed(benchmark, trace_1m):
-    stats = benchmark.pedantic(
-        simulate_shared_cache, args=(trace_1m, 4 * 1024 * 1024),
-        rounds=1, iterations=1,
-    )
+    def run():
+        cache = SharedCache(4 * 1024 * 1024)
+        cache.run(trace_1m, record_hits=False)
+        return cache.stats
+
+    stats = benchmark.pedantic(run, rounds=1, iterations=1)
     assert stats.accesses == trace_1m.size
 
 
 def test_reuse_distance_speed(benchmark, trace_1m):
     curve = benchmark.pedantic(
-        miss_rate_curve, args=(trace_1m,), rounds=1, iterations=1
+        miss_rate_curve_chunked, args=(lambda: iter([(trace_1m,)]),),
+        rounds=1, iterations=1,
     )
     assert len(curve) == 8
 
@@ -80,8 +85,12 @@ def test_reuse_distance_speed(benchmark, trace_1m):
 def test_sharing_analysis_speed(benchmark, trace_1m):
     tids = (np.arange(trace_1m.size) % 8).astype(np.int16)
     writes = np.zeros(trace_1m.size, dtype=bool)
+
+    def chunks():
+        return iter([(trace_1m, tids, writes)])
+
     stats = benchmark.pedantic(
-        analyze_sharing, args=(trace_1m, tids, writes), rounds=1, iterations=1
+        analyze_sharing_chunked, args=(chunks,), rounds=1, iterations=1
     )
     assert stats.total_accesses == trace_1m.size
 

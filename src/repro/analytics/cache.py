@@ -13,11 +13,6 @@ from ``n`` accesses to ``max_set_length`` rounds.
 Sets are processed in descending sequence-length order so the active
 sets of round ``r`` are always a prefix — plain slices, no masks.
 
-The cache-size sweep (``miss_rates_exact_batch``) shares the
-set-partitioning work: the paper's sizes double, so each finer partition
-is derived from the previous one by a single O(n) stable radix split on
-the next set-index bit instead of a fresh argsort.
-
 Everything here is bit-identical to the scalar simulators; the scalar
 code remains in :mod:`repro.cpusim.cache` / :mod:`repro.gpusim.memory`
 as the oracle.
@@ -26,8 +21,7 @@ as the oracle.
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -62,48 +56,6 @@ def partition_by_set(set_idx: np.ndarray) -> SetPartition:
     set_ids, starts = np.unique(ss, return_index=True)
     counts = np.diff(np.append(starts, ss.size))
     return SetPartition(order, starts, counts, set_ids)
-
-
-def refine_partition(
-    part: SetPartition, bit: np.ndarray, cur_sets: int
-) -> SetPartition:
-    """Split every group on one extra set-index bit in O(n), stably.
-
-    ``bit`` is aligned to the *original* index domain (0 goes before 1
-    within each group, time order preserved) — one radix pass, replacing
-    a full argsort when the number of sets doubles.
-    """
-    order, starts, counts = part.order, part.starts, part.counts
-    n = order.size
-    G = part.n_groups
-    b = bit[order].astype(bool)
-    gid = np.repeat(np.arange(G), counts)
-    ones = np.bincount(gid[b], minlength=G)
-    zeros = counts - ones
-    zstart = np.concatenate(([0], np.cumsum(zeros)[:-1]))
-    ostart = np.concatenate(([0], np.cumsum(ones)[:-1]))
-    rank_zero = np.cumsum(~b) - 1
-    rank_one = np.cumsum(b) - 1
-    newpos = np.where(
-        b,
-        starts[gid] + zeros[gid] + (rank_one - ostart[gid]),
-        starts[gid] + (rank_zero - zstart[gid]),
-    )
-    new_order = np.empty(n, dtype=order.dtype)
-    new_order[newpos] = order
-    new_starts = np.empty(2 * G, dtype=np.int64)
-    new_counts = np.empty(2 * G, dtype=np.int64)
-    new_ids = np.empty(2 * G, dtype=np.int64)
-    new_starts[0::2] = starts
-    new_starts[1::2] = starts + zeros
-    new_counts[0::2] = zeros
-    new_counts[1::2] = ones
-    new_ids[0::2] = part.set_ids
-    new_ids[1::2] = part.set_ids + cur_sets
-    keep = new_counts > 0
-    return SetPartition(
-        new_order, new_starts[keep], new_counts[keep], new_ids[keep]
-    )
 
 
 def batch_worthwhile(n_accesses: int, counts: np.ndarray) -> bool:
@@ -214,80 +166,3 @@ def simulate_lru_sets(
             int((init_len + miss_out - len_out).sum()),
         )
     return LRUSetsResult(miss_out, W_out, len_out, hits_sorted)
-
-
-def _misses_grouped_scalar(
-    sorted_lines: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    assoc: int,
-) -> int:
-    """Scalar per-set LRU miss count (fallback for degenerate shapes)."""
-    misses = 0
-    seq = sorted_lines.tolist()
-    for s, c in zip(starts.tolist(), counts.tolist()):
-        ways: "OrderedDict[int, None]" = OrderedDict()
-        for line in seq[s : s + c]:
-            if line in ways:
-                ways.move_to_end(line)
-            else:
-                misses += 1
-                ways[line] = None
-                if len(ways) > assoc:
-                    ways.popitem(last=False)
-    return misses
-
-
-def miss_rates_exact_batch(
-    addrs: np.ndarray,
-    sizes: Sequence[int],
-    assoc: int = 4,
-    line_bytes: int = 64,
-    force: bool = False,
-) -> Dict[int, float]:
-    """Exact per-size miss rates with shared set-partitioning.
-
-    Identical to running the scalar simulator once per size.  Sizes are
-    processed smallest-first; whenever the set count doubles, the next
-    partition is derived by one radix refinement instead of a new sort.
-    """
-    n = int(addrs.size)
-    out: Dict[int, float] = {}
-    if n == 0:
-        return {int(s): 0.0 for s in sizes}
-    lines = (addrs // line_bytes).astype(np.int64)
-    part: Optional[SetPartition] = None
-    cur_sets = 0
-    sorted_lines: Optional[np.ndarray] = None
-    for size in sorted(int(s) for s in sizes):
-        n_sets = max(1, size // (assoc * line_bytes))
-        if part is None or n_sets < cur_sets:
-            part = partition_by_set(lines % n_sets)
-            cur_sets = n_sets
-            sorted_lines = lines[part.order]
-        else:
-            while cur_sets < n_sets and n_sets % (cur_sets * 2) == 0:
-                part = refine_partition(
-                    part, (lines // cur_sets) & 1, cur_sets
-                )
-                cur_sets *= 2
-                sorted_lines = None
-            if cur_sets != n_sets:
-                part = partition_by_set(lines % n_sets)
-                cur_sets = n_sets
-                sorted_lines = None
-            if sorted_lines is None:
-                sorted_lines = lines[part.order]
-        if force or batch_worthwhile(n, part.counts):
-            telemetry.count("analytics.lru.dispatch.batch")
-            res = simulate_lru_sets(
-                sorted_lines, part.starts, part.counts, assoc
-            )
-            misses = int(res.miss_per_group.sum())
-        else:
-            telemetry.count("analytics.lru.dispatch.scalar")
-            misses = _misses_grouped_scalar(
-                sorted_lines, part.starts, part.counts, assoc
-            )
-        out[size] = misses / n
-    return {int(s): out[int(s)] for s in sizes}

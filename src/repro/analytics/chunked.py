@@ -1,27 +1,26 @@
 """Streaming (chunk-at-a-time) analytics over columnar trace stores.
 
-Every analysis in this package was originally whole-trace: materialize
-the full access stream, run one vectorized pass.  With the chunked trace
-pipeline (:mod:`repro.common.chunkstore`) the stream arrives as
-fixed-size column chunks that may live on disk, so each analysis needs a
-decomposition into *per-chunk work plus carried state* that reproduces
-the dense result bit-for-bit:
+With the chunked trace pipeline (:mod:`repro.common.chunkstore`) the
+access stream arrives as fixed-size column chunks that may live on disk,
+so each analysis is a decomposition into *per-chunk work plus carried
+state* that reproduces its per-access scalar oracle bit-for-bit:
 
 - :class:`StreamingReuse` — LRU stack distances.  The dominance-count
   identity ``d[i] = #{j < i : p[j] <= p[i]} - p[i] - 1`` splits cleanly:
   earlier chunks contribute through a sorted array of their previous-
   occurrence values (one ``searchsorted``), the current chunk through
   the usual merge-counting on rank-compressed values.  State is O(n)
-  int64 (8 bytes per access) — far below the several dense copies the
-  whole-trace path peaks at — plus the per-line last-use table.
+  int64 (8 bytes per access) plus the per-line last-use table.
 
 - :class:`StreamingSharing` — Bienia-style sharing statistics.  Carries
   the distinct (line, thread) pair set, the written-line set, and a
   per-line last-writer table; a second pass over the (re-iterable)
   chunks counts accesses to shared lines once the shared set is known.
 
-Both are exercised against the dense implementations by the equivalence
-suite in ``tests/test_chunked_equivalence.py``.
+Both are checked against the scalar oracles at several chunk sizes by
+``tests/test_chunked_equivalence.py``.  This module imports nothing from
+:mod:`repro.cpusim` at load time: that package re-exports its entry
+points.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Callable, Iterator, Tuple
 import numpy as np
 
 from repro.analytics.reuse import count_earlier_leq, previous_occurrence
-from repro.cpusim.sharing import SharingStats
 
 #: Thread ids are packed into the low bits of the (line, tid) pair key.
 _TID_BITS = 6
@@ -54,8 +52,8 @@ class StreamingReuse:
     """Chunk-at-a-time LRU stack-distance histogram.
 
     Feed chunks with :meth:`update`; :meth:`result` returns
-    ``(hist, cold)`` bit-identical to
-    :func:`repro.analytics.reuse.reuse_distance_histogram_batch` over the
+    ``(hist, cold)`` bit-identical to the scalar oracle
+    :func:`repro.cpusim.reuse.reuse_distance_histogram_scalar` over the
     concatenated stream.
     """
 
@@ -150,8 +148,7 @@ class StreamingSharing:
     Feed chunks with :meth:`update`, then call :meth:`result` with the
     re-iterable chunk source — the shared-line set is only known after
     the first pass, so accesses to shared lines are counted in a second
-    streaming pass.  Matches
-    :func:`repro.cpusim.sharing.analyze_sharing` exactly.
+    streaming pass.
     """
 
     def __init__(self, line_bytes: int = 64):
@@ -187,10 +184,11 @@ class StreamingSharing:
     ) -> int:
         """Reads of a line most recently written by another thread.
 
-        In-chunk writers resolve through the grouped segmented pass of
-        :func:`repro.analytics.sharing.count_consumer_reads_batch`;
-        reads preceding any in-chunk write consult the carried
-        last-writer table.
+        One stable sort groups each line's accesses in time order and a
+        segmented running maximum carries the position of the latest
+        in-chunk write down each group; reads preceding any in-chunk
+        write consult the carried last-writer table.  The scalar oracle
+        is :func:`repro.cpusim.sharing._count_consumer_reads`.
         """
         n = lines.size
         order = np.argsort(lines, kind="stable")
@@ -244,6 +242,8 @@ class StreamingSharing:
 
     def result(self, iter_chunks: ChunkIter) -> SharingStats:
         """Finish with a second pass for shared-line access counts."""
+        from repro.cpusim.sharing import SharingStats
+
         if self._total == 0:
             return SharingStats(0, 0, 0, 0, 0, 0, 0.0)
         pair_lines = self._pairs >> _TID_BITS
@@ -268,8 +268,7 @@ class StreamingSharing:
 def analyze_sharing_chunked(
     iter_chunks: ChunkIter, line_bytes: int = 64
 ) -> SharingStats:
-    """Streaming equivalent of ``analyze_sharing`` over (addr, tid, write)
-    column chunks."""
+    """Whole-run sharing statistics of a chunked (addr, tid, write) trace."""
     acc = StreamingSharing(line_bytes)
     for addrs, tids, writes in iter_chunks():
         acc.update(addrs, tids, writes)

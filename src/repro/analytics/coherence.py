@@ -26,26 +26,13 @@ test oracle.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analytics.cache import (
-    EMPTY_LINE,
-    batch_worthwhile,
-    partition_by_set,
-)
+from repro.analytics.cache import EMPTY_LINE, partition_by_set
+from repro.analytics.chunked import _member
 from repro.cpusim.coherence import CoherenceStats
-
-
-def _member(sorted_ref: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``values`` in a sorted reference array."""
-    if sorted_ref.size == 0 or values.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    idx = np.minimum(
-        np.searchsorted(sorted_ref, values), sorted_ref.size - 1
-    )
-    return sorted_ref[idx] == values
 
 
 @dataclasses.dataclass
@@ -88,47 +75,39 @@ def simulate_coherent_caches_batch(
     assoc: int = 4,
     line_bytes: int = 64,
     n_cores: int = 8,
-    force: bool = False,
     state: Optional[CoherenceBatchState] = None,
-    return_state: bool = False,
-) -> Optional[CoherenceStats]:
+) -> Tuple[CoherenceStats, CoherenceBatchState]:
     """Vectorized-across-sets run of the private-cache MSI protocol.
 
-    Returns ``None`` when the trace shape doesn't suit the batch engine
-    (few sets, or one set dominating); the caller falls back to the
-    scalar oracle.
-
-    With ``state``/``return_state`` the run continues from (and exports
-    to) carried machine state, so a chunked trace processed one chunk at
-    a time produces counters bit-identical to one dense run — every
-    protocol interaction is line-granular and a line maps to one set in
-    all cores' identically shaped caches, so per-set subsequences with
-    carried way/INV/seen state compose exactly.
+    Continues from carried machine ``state`` (fresh caches when
+    ``None``) and returns ``(stats, state)``.  A chunked trace processed
+    one chunk at a time produces counters bit-identical to the scalar
+    oracle over the whole trace — every protocol interaction is
+    line-granular and a line maps to one set in all cores' identically
+    shaped caches, so per-set subsequences with carried way/INV/seen
+    state compose exactly.
     """
-    n = int(addrs.size)
     if line_bytes > 512:
-        return None  # touched-word masks are 64-bit (8-byte words)
+        raise ValueError("touched-word masks cover lines of <= 512 bytes")
+    n = int(addrs.size)
     n_sets = max(1, cache_bytes_per_core // (assoc * line_bytes))
-    if state is not None and state.n_sets != n_sets:
+    if state is None:
+        state = CoherenceBatchState.fresh(n_cores, n_sets, assoc)
+    elif state.n_sets != n_sets:
         raise ValueError("carried state has mismatched set count")
     if n == 0:
-        empty = CoherenceStats(n_cores, 0, 0, 0, 0, 0, 0)
-        return (empty, state) if return_state else empty
+        return CoherenceStats(n_cores, 0, 0, 0, 0, 0, 0), state
     lines = (addrs // line_bytes).astype(np.int64)
     part = partition_by_set(lines % n_sets)
-    if not force and not batch_worthwhile(n, part.counts):
-        return None
 
     order = part.order
     sorted_lines = lines[order]
     uniq_lines, lid_all = np.unique(sorted_lines, return_inverse=True)
-    n_lines = int(uniq_lines.size)
     words = ((addrs % line_bytes) // 8).astype(np.uint64)
     sorted_wbit = np.uint64(1) << words[order]
     sorted_core = (tids[order].astype(np.int64)) % n_cores
     sorted_wr = writes[order].astype(bool)
 
-    G = part.n_groups
     desc = np.argsort(-part.counts, kind="stable")
     dstarts = part.starts[desc]
     neg_counts = -part.counts[desc]
@@ -138,22 +117,14 @@ def simulate_coherent_caches_batch(
     # Way-matrix row j holds the desc[j]-th group throughout the round
     # loop, so state import/export must follow the same permutation.
     sid = part.set_ids[desc]
-    if state is not None:
-        W = state.W[:, sid, :].copy()
-        MOD = state.MOD[:, sid, :].copy()
-        TW = state.TW[:, sid, :].copy()
-        LEN = state.LEN[:, sid].copy()
-        INV = np.stack(
-            [_member(state.inv_lines[c], uniq_lines) for c in range(C)]
-        )
-        seen = _member(state.seen_lines, uniq_lines)
-    else:
-        W = np.full((C, G, A), EMPTY_LINE, dtype=np.int64)
-        MOD = np.zeros((C, G, A), dtype=bool)
-        TW = np.zeros((C, G, A), dtype=np.uint64)
-        LEN = np.zeros((C, G), dtype=np.int64)
-        INV = np.zeros((C, n_lines), dtype=bool)
-        seen = np.zeros(n_lines, dtype=bool)
+    W = state.W[:, sid, :].copy()
+    MOD = state.MOD[:, sid, :].copy()
+    TW = state.TW[:, sid, :].copy()
+    LEN = state.LEN[:, sid].copy()
+    INV = np.stack(
+        [_member(state.inv_lines[c], uniq_lines) for c in range(C)]
+    )
+    seen = _member(state.seen_lines, uniq_lines)
 
     misses = cold = coh = invals = wbs = 0
     true_sh = false_sh = 0
@@ -254,10 +225,6 @@ def simulate_coherent_caches_batch(
         true_sharing_invalidations=true_sh,
         false_sharing_invalidations=false_sh,
     )
-    if not return_state:
-        return stats
-    if state is None:
-        state = CoherenceBatchState.fresh(n_cores, n_sets, assoc)
     state.W[:, sid, :] = W
     state.MOD[:, sid, :] = MOD
     state.TW[:, sid, :] = TW

@@ -26,19 +26,18 @@ of whole-array numpy passes:
    yields, for every right-half element, the number of left-half
    elements <= it.  O(n log^2 n) element work, all inside numpy.
 
-Cold (first-touch) accesses are reported separately, exactly as in the
+:class:`repro.analytics.chunked.StreamingReuse` applies both passes
+chunk by chunk, carrying earlier chunks' previous-occurrence values;
+cold (first-touch) accesses are reported separately, exactly as in the
 scalar implementation.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-#: Packed (value, position) keys use 32 bits for each half; traces at or
-#: beyond this length fall back to the scalar path (they would not fit
-#: in memory anyway).
+#: Packed (value, position) keys use 32 bits for each half; inputs at or
+#: beyond this length are rejected (they would not fit in memory anyway).
 _MAX_BATCH = 1 << 30
 
 _POS_MASK = np.int64((1 << 32) - 1)
@@ -110,38 +109,3 @@ def count_earlier_leq(values: np.ndarray) -> np.ndarray:
         packed = sp.reshape(-1)
         w *= 2
     return counts[:n]
-
-
-def stack_distances(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-access LRU stack distance of a line-address trace.
-
-    Returns ``(dist, prev)``: ``dist[i]`` is the number of distinct
-    other lines touched since the previous access to ``lines[i]``,
-    valid where ``prev[i] >= 0``; accesses with ``prev[i] == -1`` are
-    cold (first touch) and their ``dist`` entry is meaningless.
-    """
-    prev = previous_occurrence(lines)
-    dist = count_earlier_leq(prev) - prev - 1
-    return dist, prev
-
-
-def reuse_distance_histogram_batch(
-    addrs: np.ndarray, line_bytes: int = 64
-) -> Tuple[np.ndarray, int]:
-    """Vectorized equivalent of ``reuse_distance_histogram``.
-
-    Returns ``(distances_hist, cold_misses)``, bit-identical to the
-    scalar Fenwick implementation.
-    """
-    if addrs.size == 0:
-        return np.zeros(1, dtype=np.int64), 0
-    lines = (addrs // line_bytes).astype(np.int64)
-    dist, prev = stack_distances(lines)
-    warm = prev >= 0
-    cold = int(lines.size - warm.sum())
-    d = dist[warm]
-    if d.size:
-        hist = np.bincount(d).astype(np.int64)
-    else:
-        hist = np.zeros(1, dtype=np.int64)
-    return hist, cold

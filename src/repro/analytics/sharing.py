@@ -1,16 +1,10 @@
-"""Batch sharing analysis.
+"""Batch residency-windowed sharing.
 
-Two pieces of :mod:`repro.cpusim.sharing` walk the trace in Python:
-
-- ``_count_consumer_reads`` — replaced by a grouped-by-line pass: one
-  stable sort groups each line's accesses in time order, a segmented
-  running maximum carries "index of the most recent write" down each
-  group, and a final gather compares writer and reader thread ids.
-
-- ``sharing_at_size`` — the residency-windowed analysis runs on the
-  way-matrix engine of :mod:`repro.analytics.cache`, with a parallel
-  matrix of per-residency sharer *bitmasks* (one bit per thread id)
-  carried through the same gather-shift as the line addresses.
+The per-access walk of :func:`repro.cpusim.sharing.sharing_at_size_scalar`
+runs here on the way-matrix engine of :mod:`repro.analytics.cache`, with
+a parallel matrix of per-residency sharer *bitmasks* (one bit per thread
+id) carried through the same gather-shift as the line addresses.  The
+cache state carries between chunks in a :class:`SharingSizeState`.
 """
 
 from __future__ import annotations
@@ -20,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.analytics.cache import EMPTY_LINE, batch_worthwhile, partition_by_set
+from repro.analytics.cache import EMPTY_LINE, partition_by_set
 
 #: Sharer masks are uint64 bitfields — one bit per thread id.
 MAX_BATCH_TIDS = 64
@@ -35,38 +29,6 @@ def _popcount(a: np.ndarray) -> np.ndarray:
         out += (v & 1).astype(np.int64)
         v >>= np.uint64(1)
     return out
-
-
-def count_consumer_reads_batch(
-    lines: np.ndarray, tids: np.ndarray, writes: np.ndarray
-) -> int:
-    """Reads whose line's most recent writer is a different thread.
-
-    Bit-identical to the scalar last-writer walk.
-    """
-    n = lines.size
-    if n == 0:
-        return 0
-    order = np.argsort(lines, kind="stable")
-    sl = lines[order]
-    sw = writes[order].astype(bool)
-    pos = np.arange(n, dtype=np.int64)
-    group_start = np.empty(n, dtype=np.int64)
-    group_start[0] = 0
-    new_group = sl[1:] != sl[:-1]
-    np.maximum.accumulate(
-        np.where(np.concatenate(([True], new_group)), pos, 0), out=group_start
-    )
-    # Running "sorted position of the latest write"; a value below the
-    # group start belongs to an earlier line and means "no write yet".
-    last_write = np.maximum.accumulate(np.where(sw, pos, -1))
-    last_write_before = np.concatenate(([-1], last_write[:-1]))
-    valid = last_write_before >= group_start
-    reads = ~sw & valid
-    writer_tid = np.zeros(n, dtype=np.int64)
-    writer_tid[reads] = tids[order][last_write_before[reads]]
-    consumer = reads & (writer_tid != tids[order])
-    return int(consumer.sum())
 
 
 @dataclasses.dataclass
@@ -104,33 +66,29 @@ def sharing_at_size_batch(
     tids: np.ndarray,
     n_sets: int,
     assoc: int,
-    force: bool = False,
     state: Optional[SharingSizeState] = None,
-    return_state: bool = False,
-) -> Optional[Tuple[int, int, int]]:
+) -> Optional[Tuple[int, int, int, SharingSizeState]]:
     """Residency-windowed sharing through per-set LRU with sharer masks.
 
-    Returns ``(shared_accesses, lifetimes, shared_lifetimes)`` exactly
-    matching the scalar ``sharing_at_size`` walk, or ``None`` when the
-    trace shape doesn't suit the batch engine (caller falls back).
-
-    With ``state``/``return_state`` the cache continues across chunks
-    and still-resident lifetimes are NOT closed out — the caller calls
+    Continues from ``state`` (a fresh cache when ``None``) and returns
+    ``(shared_accesses, lifetimes, shared_lifetimes, state)`` exactly
+    matching the scalar walk over the same accesses, or ``None`` when a
+    thread id does not fit the sharer mask (the caller falls back).
+    Still-resident lifetimes are NOT closed out — the caller calls
     :meth:`SharingSizeState.close_lifetimes` after the last chunk.
     """
+    if state is None:
+        state = SharingSizeState.fresh(n_sets, assoc)
+    elif state.n_sets != n_sets:
+        raise ValueError("carried state has mismatched set count")
     n = lines.size
     if n == 0:
-        return (0, 0, 0, state) if return_state else (0, 0, 0)
-    if tids.size and int(tids.max()) >= MAX_BATCH_TIDS:
+        return 0, 0, 0, state
+    if int(tids.max()) >= MAX_BATCH_TIDS:
         return None
-    if state is not None and state.n_sets != n_sets:
-        raise ValueError("carried state has mismatched set count")
     part = partition_by_set(lines % n_sets)
-    if not force and not batch_worthwhile(n, part.counts):
-        return None
     sorted_lines = lines[part.order]
     sorted_bits = np.uint64(1) << tids[part.order].astype(np.uint64)
-    G = part.n_groups
     desc = np.argsort(-part.counts, kind="stable")
     dstarts = part.starts[desc]
     neg_counts = -part.counts[desc]
@@ -138,14 +96,9 @@ def sharing_at_size_batch(
     # Way-matrix row j holds the desc[j]-th group throughout the round
     # loop, so state import/export must follow the same permutation.
     sid = part.set_ids[desc]
-    if state is not None:
-        W = state.W[sid].copy()
-        M = state.M[sid].copy()
-        lengths = state.lengths[sid].copy()
-    else:
-        W = np.full((G, assoc), EMPTY_LINE, dtype=np.int64)
-        M = np.zeros((G, assoc), dtype=np.uint64)   # sharer masks per way
-        lengths = np.zeros(G, dtype=np.int64)
+    W = state.W[sid].copy()
+    M = state.M[sid].copy()   # sharer masks per way
+    lengths = state.lengths[sid].copy()
     cols = np.arange(assoc)
     shared_accesses = 0
     lifetimes = 0
@@ -182,15 +135,7 @@ def sharing_at_size_batch(
         W[:k] = Wn
         M[:k] = Mn
         lengths[:k] = np.minimum(lengths[:k] + ~hit, assoc)
-    if return_state:
-        if state is None:
-            state = SharingSizeState.fresh(n_sets, assoc)
-        state.W[sid] = W
-        state.M[sid] = M
-        state.lengths[sid] = lengths
-        return shared_accesses, lifetimes, shared_lifetimes, state
-    # Close out still-resident lifetimes.
-    resident = cols[None, :] < lengths[:, None]
-    lifetimes += int(lengths.sum())
-    shared_lifetimes += int((_popcount(M[resident]) > 1).sum())
-    return shared_accesses, lifetimes, shared_lifetimes
+    state.W[sid] = W
+    state.M[sid] = M
+    state.lengths[sid] = lengths
+    return shared_accesses, lifetimes, shared_lifetimes, state

@@ -9,30 +9,39 @@ metrics: instruction mix, working sets (miss rate over cache sizes),
 sharing behaviour, and instruction/data footprints.
 """
 
-from repro.cpusim.cache import SharedCache, simulate_shared_cache
+from repro.analytics.chunked import (
+    analyze_sharing_chunked,
+    reuse_histogram_chunked,
+)
+from repro.cpusim.cache import SharedCache
 from repro.cpusim.codefootprint import CodeFootprintTracer
-from repro.cpusim.coherence import CoherenceStats, simulate_coherent_caches
+from repro.cpusim.coherence import (
+    CoherenceStats,
+    simulate_coherent_caches_chunked,
+)
 from repro.cpusim.machine import HostArray, Machine, ThreadCtx
 from repro.cpusim.metrics import CPUMetrics, characterize_trace
-from repro.cpusim.reuse import miss_rate_curve, reuse_distance_histogram
-from repro.cpusim.sharing import SharingStats, analyze_sharing, sharing_at_size
-from repro.cpusim.workingset import detect_working_sets, fine_miss_curve
+from repro.cpusim.reuse import miss_rate_curve_chunked
+from repro.cpusim.sharing import SharingStats, sharing_at_size_chunked
+from repro.cpusim.workingset import (
+    detect_working_sets,
+    fine_miss_curve_chunked,
+)
 
 __all__ = [
     "Machine",
     "ThreadCtx",
     "HostArray",
     "SharedCache",
-    "simulate_shared_cache",
     "CoherenceStats",
-    "simulate_coherent_caches",
-    "miss_rate_curve",
-    "reuse_distance_histogram",
+    "simulate_coherent_caches_chunked",
+    "miss_rate_curve_chunked",
+    "reuse_histogram_chunked",
     "SharingStats",
-    "analyze_sharing",
-    "sharing_at_size",
+    "analyze_sharing_chunked",
+    "sharing_at_size_chunked",
     "detect_working_sets",
-    "fine_miss_curve",
+    "fine_miss_curve_chunked",
     "CPUMetrics",
     "characterize_trace",
     "CodeFootprintTracer",

@@ -3,22 +3,23 @@
 The paper's working-set/sharing methodology (after Bienia et al. [4])
 uses an 8-core processor with a single shared cache, 4-way associative
 with 64-byte lines, swept from 128 kB to 16 MB.  :class:`SharedCache`
-simulates one such cache over the merged multithreaded trace; the faster
+simulates one such cache (Figure 10's 4 MB) over the merged
+multithreaded trace, one chunk per :meth:`SharedCache.run`; the
 reuse-distance profile (:mod:`repro.cpusim.reuse`) provides the full
 sweep, validated against this exact simulator in tests.
 
-Whole-trace runs from a cold cache dispatch to the vectorized way-matrix
-engine (:mod:`repro.analytics.cache`) when the trace spreads over enough
-sets; the per-access scalar path below remains the oracle (its per-set
-LRU is an ``OrderedDict``, so hit promotion and eviction are O(1) rather
-than the O(assoc) ``list.remove``/``pop(0)`` dance).
+A run of at least 4096 accesses that spreads over enough sets goes to
+the vectorized way-matrix engine (:mod:`repro.analytics.cache`), warm
+state included; the per-access scalar path below remains the oracle (its
+per-set LRU is an ``OrderedDict``, so hit promotion and eviction are
+O(1) rather than the O(assoc) ``list.remove``/``pop(0)`` dance).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -174,32 +175,3 @@ class SharedCache:
         for ways in self._sets.values():
             resident.update(ways)
         return resident
-
-
-def simulate_shared_cache(
-    addrs: np.ndarray,
-    size_bytes: int,
-    assoc: int = 4,
-    line_bytes: int = 64,
-) -> CacheStats:
-    """Convenience wrapper: stats of one trace through one cache."""
-    cache = SharedCache(size_bytes, assoc, line_bytes)
-    cache.run(addrs, record_hits=False)
-    return cache.stats
-
-
-def miss_rates_exact(
-    addrs: np.ndarray,
-    sizes: Tuple[int, ...] = PAPER_CACHE_SIZES,
-    assoc: int = 4,
-    line_bytes: int = 64,
-) -> Dict[int, float]:
-    """Exact miss rate at each cache size.
-
-    The batch sweep shares the per-set partitioning across sizes (each
-    doubling refines the previous partition in O(n)); results are
-    identical to one scalar simulation per size.
-    """
-    from repro.analytics.cache import miss_rates_exact_batch
-
-    return miss_rates_exact_batch(addrs, sizes, assoc, line_bytes)

@@ -129,35 +129,6 @@ class _PrivateCache:
         return False, False
 
 
-def simulate_coherent_caches(
-    addrs: np.ndarray,
-    tids: np.ndarray,
-    writes: np.ndarray,
-    cache_bytes_per_core: int = 512 * 1024,
-    assoc: int = 4,
-    line_bytes: int = 64,
-    n_cores: int = 8,
-) -> CoherenceStats:
-    """Run a merged multithreaded trace through private coherent caches.
-
-    Long traces spread over many sets run on the vectorized engine of
-    :mod:`repro.analytics.coherence`; the per-access simulator below
-    remains the oracle.
-    """
-    if addrs.size >= 4096:
-        from repro.analytics.coherence import simulate_coherent_caches_batch
-
-        stats = simulate_coherent_caches_batch(
-            addrs, tids, writes, cache_bytes_per_core, assoc, line_bytes,
-            n_cores,
-        )
-        if stats is not None:
-            return stats
-    return simulate_coherent_caches_scalar(
-        addrs, tids, writes, cache_bytes_per_core, assoc, line_bytes, n_cores
-    )
-
-
 def simulate_coherent_caches_chunked(
     iter_chunks,
     cache_bytes_per_core: int = 512 * 1024,
@@ -165,17 +136,18 @@ def simulate_coherent_caches_chunked(
     line_bytes: int = 64,
     n_cores: int = 8,
 ) -> CoherenceStats:
-    """Streaming coherence run over (addr, tid, is_write) column chunks.
+    """Run a merged multithreaded trace through private coherent caches.
 
-    ``iter_chunks`` is a zero-argument callable returning the chunk
-    iterator (e.g. ``machine.iter_trace_chunks``).  Carries the batch
-    engine's machine state between chunks; counters are bit-identical to
-    one dense :func:`simulate_coherent_caches` run.
+    ``iter_chunks`` is a zero-argument callable returning an iterator of
+    (addr, tid, is_write) column chunks (e.g.
+    ``machine.iter_trace_chunks``).  The vectorized engine of
+    :mod:`repro.analytics.coherence` carries its machine state between
+    chunks; :func:`simulate_coherent_caches_scalar` is the oracle.
     """
     from repro.analytics.coherence import simulate_coherent_caches_batch
 
     if line_bytes > 512:
-        # Touched-word masks don't cover such lines; dense scalar oracle.
+        # Touched-word masks do not cover such lines: scalar oracle.
         cols = [np.concatenate(c) for c in zip(*iter_chunks())] or [
             np.empty(0, dtype=np.int64)
         ] * 3
@@ -188,7 +160,7 @@ def simulate_coherent_caches_chunked(
     for addrs, tids, writes in iter_chunks():
         stats, state = simulate_coherent_caches_batch(
             addrs, tids, writes, cache_bytes_per_core, assoc, line_bytes,
-            n_cores, force=True, state=state, return_state=True,
+            n_cores, state,
         )
         totals.accesses += stats.accesses
         totals.misses += stats.misses

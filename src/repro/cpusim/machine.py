@@ -310,10 +310,6 @@ class Machine:
             pages = np.union1d(pages, addrs // page_bytes)
         return int(pages.size)
 
-    def lines(self) -> np.ndarray:
-        """Cache-line index of every access."""
-        return self.trace()[0] // self.line_size
-
     def load_imbalance(self) -> float:
         """Max/mean dynamic instructions across threads (1.0 = perfect).
 

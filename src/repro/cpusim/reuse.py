@@ -8,13 +8,11 @@ line) is at least the cache's line capacity.  The paper's caches are
 4-way set-associative; the LRU-stack curve is a standard, close
 approximation (validated against the exact simulator in the test suite).
 
-Two implementations:
-
-- the classic last-use + Fenwick-tree walk (O(log n) per access, pure
-  Python) — kept as the oracle, and used for short traces;
-- the batch algorithm of :mod:`repro.analytics.reuse` (offline
-  previous-occurrence + sort-based counting, all numpy) — bit-identical
-  and an order of magnitude faster on long traces.
+The classic last-use + Fenwick-tree walk below (O(log n) per access,
+pure Python) is the test oracle.  Production streams the trace through
+:class:`repro.analytics.chunked.StreamingReuse`, whose offline
+previous-occurrence + dominance-counting passes are bit-identical and an
+order of magnitude faster on long traces.
 """
 
 from __future__ import annotations
@@ -24,9 +22,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.cpusim.cache import PAPER_CACHE_SIZES
-
-#: Traces at least this long go through the vectorized path.
-_BATCH_THRESHOLD = 256
 
 
 class _Fenwick:
@@ -85,23 +80,6 @@ def reuse_distance_histogram_scalar(
     return out, cold
 
 
-def reuse_distance_histogram(
-    addrs: np.ndarray, line_bytes: int = 64
-) -> Tuple[np.ndarray, int]:
-    """Histogram of LRU stack distances of a byte-address trace.
-
-    Returns ``(distances_hist, cold_misses)`` where ``distances_hist[d]``
-    counts accesses with reuse distance exactly ``d`` (d = number of
-    distinct other lines touched since the previous access to the line).
-    Cold (first-touch) accesses are counted separately.
-    """
-    if addrs.size >= _BATCH_THRESHOLD:
-        from repro.analytics.reuse import reuse_distance_histogram_batch
-
-        return reuse_distance_histogram_batch(addrs, line_bytes)
-    return reuse_distance_histogram_scalar(addrs, line_bytes)
-
-
 def curve_from_histogram(
     hist: np.ndarray,
     cold: int,
@@ -112,9 +90,10 @@ def curve_from_histogram(
 
     The inclusion property makes one histogram serve every size: a cache
     holding ``L`` lines misses exactly the accesses with distance >= L,
-    plus all cold misses.  Shared by :func:`miss_rate_curve` and the
-    fine-grid curve of :mod:`repro.cpusim.workingset`, and the streaming
-    entry point for :class:`repro.analytics.chunked.StreamingReuse`.
+    plus all cold misses.  Turns the histogram of
+    :class:`repro.analytics.chunked.StreamingReuse` into both the paper's
+    curve (:func:`miss_rate_curve_chunked`) and the fine-grid curve of
+    :mod:`repro.cpusim.workingset`.
     """
     n = int(hist.sum()) + cold
     if n == 0:
@@ -134,30 +113,17 @@ def curve_from_histogram(
     return out
 
 
-def miss_rate_curve(
-    addrs: np.ndarray,
-    sizes: Tuple[int, ...] = PAPER_CACHE_SIZES,
-    line_bytes: int = 64,
-) -> Dict[int, float]:
-    """Miss rate (misses per memory reference) at each cache size.
-
-    Computed from a single reuse-distance pass: for a cache holding ``L``
-    lines, accesses with stack distance >= L miss, plus all cold misses.
-    """
-    hist, cold = reuse_distance_histogram(addrs, line_bytes)
-    return curve_from_histogram(hist, cold, sizes, line_bytes)
-
-
 def miss_rate_curve_chunked(
     iter_chunks,
     sizes: Tuple[int, ...] = PAPER_CACHE_SIZES,
     line_bytes: int = 64,
 ) -> Dict[int, float]:
-    """Streaming miss-rate curve over (addr, ...) column chunks.
+    """Miss rate (misses per memory reference) at each cache size.
 
-    ``iter_chunks`` is a zero-argument callable returning the chunk
-    iterator; results are bit-identical to :func:`miss_rate_curve` on
-    the concatenated trace.
+    ``iter_chunks`` is a zero-argument callable returning an iterator of
+    (addr, ...) column chunks.  One reuse-distance pass serves every
+    size: for a cache holding ``L`` lines, accesses with stack distance
+    >= L miss, plus all cold misses.
     """
     from repro.analytics.chunked import reuse_histogram_chunked
 

@@ -1,11 +1,12 @@
 """Sharing-behaviour analysis.
 
 Following Bienia et al. [4] (whose methodology the paper adopts), a line
-is *shared* if more than one thread accesses it during the run.  The
-analyzer reports the fraction of touched lines that are shared, the
-fraction of accesses that go to shared lines, write-sharing, and a
-producer-consumer communication measure (reads of a line last written by
-a different thread).
+is *shared* if more than one thread accesses it during the run.
+:class:`SharingStats` reports the fraction of touched lines that are
+shared, the fraction of accesses that go to shared lines, write-sharing,
+and a producer-consumer communication measure (reads of a line last
+written by a different thread); the streaming analyzer that fills it is
+:class:`repro.analytics.chunked.StreamingSharing`.
 """
 
 from __future__ import annotations
@@ -61,60 +62,13 @@ class SharingStats:
         }
 
 
-def analyze_sharing(
-    addrs: np.ndarray,
-    tids: np.ndarray,
-    writes: np.ndarray,
-    line_bytes: int = 64,
-) -> SharingStats:
-    """Whole-run sharing statistics of a merged multithreaded trace."""
-    if addrs.size == 0:
-        return SharingStats(0, 0, 0, 0, 0, 0, 0.0)
-    lines = addrs // line_bytes
-    tids = tids.astype(np.int64)
-
-    # Distinct (line, tid) pairs -> sharer count per line.
-    n_tids = int(tids.max()) + 1
-    pair = lines * n_tids + tids
-    uniq_pairs = np.unique(pair)
-    pair_lines = uniq_pairs // n_tids
-    uniq_lines, sharer_counts = np.unique(pair_lines, return_counts=True)
-    shared_line_set = uniq_lines[sharer_counts > 1]
-
-    # Accesses to shared lines (sorted membership test).
-    is_shared = np.isin(lines, shared_line_set, assume_unique=False)
-    shared_accesses = int(is_shared.sum())
-
-    # Write-shared: line written at least once AND shared.
-    written_lines = np.unique(lines[writes])
-    write_shared = int(np.isin(written_lines, shared_line_set).sum())
-
-    # Producer-consumer reads: read of a line last written by another tid.
-    if addrs.size >= 256:
-        from repro.analytics.sharing import count_consumer_reads_batch
-
-        consumer_reads = count_consumer_reads_batch(lines, tids, writes)
-    else:
-        consumer_reads = _count_consumer_reads(lines, tids, writes)
-
-    return SharingStats(
-        total_lines=int(uniq_lines.size),
-        shared_lines=int(shared_line_set.size),
-        total_accesses=int(addrs.size),
-        shared_accesses=shared_accesses,
-        write_shared_lines=write_shared,
-        consumer_reads=consumer_reads,
-        mean_sharers=float(sharer_counts.mean()),
-    )
-
-
 def _count_consumer_reads(
     lines: np.ndarray, tids: np.ndarray, writes: np.ndarray
 ) -> int:
     """Reads whose line's most recent writer is a different thread.
 
-    Scalar oracle for
-    :func:`repro.analytics.sharing.count_consumer_reads_batch`.
+    Scalar oracle for the consumer-read count of
+    :class:`repro.analytics.chunked.StreamingSharing`.
     """
     last_writer: Dict[int, int] = {}
     count = 0
@@ -160,9 +114,8 @@ class SizeSharing:
         return self.shared_lifetimes / self.lifetimes
 
 
-def sharing_at_size(
-    addrs: np.ndarray,
-    tids: np.ndarray,
+def sharing_at_size_chunked(
+    iter_chunks,
     size_bytes: int,
     assoc: int = 4,
     line_bytes: int = 64,
@@ -174,55 +127,23 @@ def sharing_at_size(
     (install → evict, or install → end of trace) is shared when more
     than one thread touched the line during it.
 
-    Long traces over many sets run on the batch way-matrix engine;
-    :func:`sharing_at_size_scalar` is the per-access oracle.
+    ``iter_chunks`` is a zero-argument callable returning an iterator of
+    (addr, tid, ...) column chunks.  The way-matrix engine's cache state
+    carries between chunks and still-resident lifetimes close after the
+    last one; :func:`sharing_at_size_scalar` is the per-access oracle.
     """
-    n_sets = max(1, (size_bytes // line_bytes) // assoc)
-    if addrs.size >= 4096:
-        from repro.analytics.sharing import sharing_at_size_batch
-
-        lines = (addrs // line_bytes).astype(np.int64)
-        result = sharing_at_size_batch(
-            lines, tids.astype(np.int64), n_sets, assoc
-        )
-        if result is not None:
-            shared_accesses, lifetimes, shared_lifetimes = result
-            return SizeSharing(
-                size_bytes=size_bytes,
-                total_accesses=int(addrs.size),
-                shared_accesses=shared_accesses,
-                lifetimes=lifetimes,
-                shared_lifetimes=shared_lifetimes,
-            )
-    return sharing_at_size_scalar(addrs, tids, size_bytes, assoc, line_bytes)
-
-
-def sharing_at_size_chunked(
-    iter_chunks,
-    size_bytes: int,
-    assoc: int = 4,
-    line_bytes: int = 64,
-) -> SizeSharing:
-    """Streaming residency-windowed sharing over (addr, tid, ...) chunks.
-
-    ``iter_chunks`` is a zero-argument callable returning the chunk
-    iterator.  The way-matrix engine's cache state carries between
-    chunks and still-resident lifetimes close after the last one, so the
-    result is bit-identical to the dense :func:`sharing_at_size`.
-    """
-    from repro.analytics.sharing import sharing_at_size_batch
+    from repro.analytics.sharing import SharingSizeState, sharing_at_size_batch
 
     n_sets = max(1, (size_bytes // line_bytes) // assoc)
+    state = SharingSizeState.fresh(n_sets, assoc)
     total = shared = lifetimes = shared_lt = 0
-    state = None
     for chunk in iter_chunks():
         addrs, tids = chunk[0], chunk[1]
         lines = (addrs // line_bytes).astype(np.int64)
         result = sharing_at_size_batch(
-            lines, tids.astype(np.int64), n_sets, assoc,
-            force=True, state=state, return_state=True,
+            lines, tids.astype(np.int64), n_sets, assoc, state
         )
-        if result is None:  # >= 64 thread ids: dense scalar fallback
+        if result is None:  # >= 64 thread ids: scalar oracle, whole trace
             cols = [np.concatenate(c) for c in zip(*iter_chunks())]
             return sharing_at_size_scalar(
                 cols[0], cols[1], size_bytes, assoc, line_bytes
@@ -232,16 +153,13 @@ def sharing_at_size_chunked(
         shared += s
         lifetimes += lt
         shared_lt += slt
-    if state is not None:
-        lt, slt = state.close_lifetimes()
-        lifetimes += lt
-        shared_lt += slt
+    lt, slt = state.close_lifetimes()
     return SizeSharing(
         size_bytes=size_bytes,
         total_accesses=total,
         shared_accesses=shared,
-        lifetimes=lifetimes,
-        shared_lifetimes=shared_lt,
+        lifetimes=lifetimes + lt,
+        shared_lifetimes=shared_lt + slt,
     )
 
 

@@ -12,12 +12,11 @@ read off Figure 8's underlying data.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
-from repro.cpusim.cache import PAPER_CACHE_SIZES
-from repro.cpusim.reuse import curve_from_histogram, reuse_distance_histogram
+from repro.cpusim.reuse import curve_from_histogram
 
 
 @dataclasses.dataclass
@@ -51,23 +50,6 @@ def fine_size_grid(
     return sorted(set(sizes))
 
 
-def fine_miss_curve(
-    addrs: np.ndarray,
-    line_bytes: int = 64,
-    points_per_octave: int = 2,
-    min_size: int = 16 * 1024,
-    max_size: int = 32 * 1024 * 1024,
-) -> Dict[int, float]:
-    """Miss rate on a fine logarithmic grid of cache sizes.
-
-    One reuse-distance pass serves every size (stack inclusion), so the
-    fine grid costs no more than the paper's eight points.
-    """
-    hist, cold = reuse_distance_histogram(addrs, line_bytes)
-    grid = fine_size_grid(points_per_octave, min_size, max_size)
-    return curve_from_histogram(hist, cold, tuple(grid), line_bytes)
-
-
 def fine_miss_curve_chunked(
     iter_chunks,
     line_bytes: int = 64,
@@ -75,7 +57,13 @@ def fine_miss_curve_chunked(
     min_size: int = 16 * 1024,
     max_size: int = 32 * 1024 * 1024,
 ) -> Dict[int, float]:
-    """Streaming :func:`fine_miss_curve` over (addr, ...) column chunks."""
+    """Miss rate on a fine logarithmic grid of cache sizes.
+
+    ``iter_chunks`` is a zero-argument callable returning an iterator of
+    (addr, ...) column chunks.  One reuse-distance pass serves every
+    size (stack inclusion), so the fine grid costs no more than the
+    paper's eight points.
+    """
     from repro.analytics.chunked import reuse_histogram_chunked
 
     hist, cold = reuse_histogram_chunked(iter_chunks, line_bytes)
@@ -125,8 +113,3 @@ def detect_working_sets(
         else:
             merged.append(ws)
     return merged
-
-
-def summarize(addrs: np.ndarray, line_bytes: int = 64) -> List[WorkingSet]:
-    """Convenience: fine curve + knee detection in one call."""
-    return detect_working_sets(fine_miss_curve(addrs, line_bytes))

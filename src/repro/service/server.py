@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import inspect
 import json
 import signal
 import sys
@@ -249,8 +248,8 @@ class ExperimentService:
     :func:`repro.common.config.config` unless given explicitly, so
     ``REPRO_SERVICE_*`` environment variables configure a bare
     ``ExperimentService()``.  ``execute_fn`` is the cold-execution
-    callable submitted to the pool — tests substitute a lightweight
-    fake; production uses :func:`_execute`.
+    callable submitted to the pool, with the signature of
+    :func:`_execute` — tests substitute a lightweight fake.
     """
 
     def __init__(
@@ -261,7 +260,10 @@ class ExperimentService:
         queue_limit: Optional[int] = None,
         cache_dir: Optional[str] = None,
         registry_dir: Optional[str] = None,
-        execute_fn: Optional[Callable[..., Tuple[bool, str]]] = None,
+        execute_fn: Optional[Callable[
+            [str, Optional[str], Optional[str], str],
+            Tuple[bool, str, Optional[Dict[str, Any]]],
+        ]] = None,
         access_log: Optional[str] = None,
         slow_request_s: Optional[float] = None,
     ):
@@ -292,13 +294,6 @@ class ExperimentService:
             registry_dir=self.registry_dir,
         )
         self._execute_fn = execute_fn or _execute
-        # Test fakes predate request-id propagation; feed extended
-        # arguments only to callables that declare a slot for them.
-        try:
-            n_params = len(inspect.signature(self._execute_fn).parameters)
-        except (TypeError, ValueError):  # builtins / C callables
-            n_params = 4
-        self._execute_takes_rid = n_params >= 4
         self._inflight: Dict[str, asyncio.Task] = {}
         self._pool: Optional[ProcessPoolExecutor] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -638,17 +633,10 @@ class ExperimentService:
             loop = asyncio.get_running_loop()
             extras: Optional[Dict[str, Any]] = None
             try:
-                call_args = [req.to_json(), self.cache_dir,
-                             self.registry_dir]
-                if self._execute_takes_rid:
-                    call_args.append(rid)
-                result = await loop.run_in_executor(
-                    self._pool, self._execute_fn, *call_args
+                ok, text, extras = await loop.run_in_executor(
+                    self._pool, self._execute_fn, req.to_json(),
+                    self.cache_dir, self.registry_dir, rid,
                 )
-                if len(result) == 3:
-                    ok, text, extras = result
-                else:  # legacy 2-tuple execute fns (test fakes)
-                    ok, text = result
             except Exception as exc:  # noqa: BLE001 — pool edge
                 from repro.api import ExperimentResponse
 

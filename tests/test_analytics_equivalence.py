@@ -4,9 +4,8 @@ Every batch engine in :mod:`repro.analytics` must match its per-access
 scalar oracle *bit for bit* — same histograms, same stats, same
 per-access hit masks, same final cache state.  Hypothesis drives random
 traces (plus adversarial shapes: every access in one set, a single
-line repeated, write-storms) through both paths with ``force=True`` so
-the batch engines run even on trace shapes their dispatch heuristics
-would normally decline.
+line repeated, write-storms) through the streaming entry points, which
+always run the batch engines, on one chunk and on two.
 """
 
 import dataclasses
@@ -17,26 +16,27 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analytics.cache import (
     batch_worthwhile,
-    miss_rates_exact_batch,
     partition_by_set,
-    refine_partition,
     simulate_lru_sets,
 )
-from repro.analytics.coherence import simulate_coherent_caches_batch
-from repro.analytics.reuse import (
-    count_earlier_leq,
-    previous_occurrence,
-    reuse_distance_histogram_batch,
-    stack_distances,
+from repro.analytics.chunked import (
+    analyze_sharing_chunked,
+    reuse_histogram_chunked,
 )
-from repro.analytics.sharing import (
-    count_consumer_reads_batch,
-    sharing_at_size_batch,
-)
+from repro.analytics.reuse import count_earlier_leq, previous_occurrence
+from repro.analytics.sharing import sharing_at_size_batch
 from repro.cpusim.cache import SharedCache
-from repro.cpusim.coherence import simulate_coherent_caches_scalar
+from repro.cpusim.coherence import (
+    simulate_coherent_caches_chunked,
+    simulate_coherent_caches_scalar,
+)
 from repro.cpusim.reuse import reuse_distance_histogram_scalar
-from repro.cpusim.sharing import _count_consumer_reads, sharing_at_size_scalar
+from repro.cpusim.sharing import (
+    _count_consumer_reads,
+    sharing_at_size_chunked,
+    sharing_at_size_scalar,
+)
+from tests.chunks import one_chunk, two_chunks
 
 _SETTINGS = dict(max_examples=60, deadline=None)
 
@@ -119,18 +119,20 @@ def test_reuse_histogram_batch_matches_scalar(trace):
     lines, _, _ = trace
     addrs = lines * 64
     h_s, cold_s = reuse_distance_histogram_scalar(addrs)
-    h_b, cold_b = reuse_distance_histogram_batch(addrs)
-    assert cold_s == cold_b
-    m = max(h_s.size, h_b.size)
-    assert np.array_equal(
-        np.pad(h_s, (0, m - h_s.size)), np.pad(h_b, (0, m - h_b.size))
-    )
+    for chunks in (one_chunk(addrs), two_chunks(addrs)):
+        h_b, cold_b = reuse_histogram_chunked(chunks)
+        assert cold_s == cold_b
+        m = max(h_s.size, h_b.size)
+        assert np.array_equal(
+            np.pad(h_s, (0, m - h_s.size)), np.pad(h_b, (0, m - h_b.size))
+        )
 
 
 def test_stack_distance_identity_on_long_trace():
     rng = np.random.default_rng(3)
     lines = rng.integers(0, 500, size=5000)
-    dist, prev = stack_distances(lines)
+    prev = previous_occurrence(lines)
+    dist = count_earlier_leq(prev) - prev - 1
     # Warm accesses: distance == distinct lines since previous occurrence.
     for i in np.flatnonzero(prev >= 0)[::97]:
         p = int(prev[i])
@@ -188,42 +190,6 @@ def test_shared_cache_batch_adversarial(name, lines):
     assert fast.resident_lines() == ref.resident_lines()
 
 
-@settings(**_SETTINGS)
-@given(traces(max_lines=200))
-def test_miss_rates_sweep_matches_per_size_scalar(trace):
-    lines, _, _ = trace
-    addrs = lines * 64
-    sizes = (256, 512, 1024, 4096)  # tiny caches: 1..16 sets at assoc 4
-    got = miss_rates_exact_batch(addrs, sizes, assoc=4, force=True)
-    for size in sizes:
-        ref = SharedCache(size, assoc=4)
-        for l in (addrs // 64).tolist():
-            ref.access_line(int(l))
-        assert got[size] == pytest.approx(ref.stats.miss_rate, abs=0), size
-
-
-@settings(**_SETTINGS)
-@given(traces(max_lines=300), st.integers(min_value=1, max_value=5))
-def test_refine_partition_matches_fresh_sort(trace, doublings):
-    lines, _, _ = trace
-    n_sets = 4
-    part = partition_by_set(lines % n_sets)
-    for _ in range(doublings):
-        part = refine_partition(part, (lines // n_sets) & 1, n_sets)
-        n_sets *= 2
-    fresh = partition_by_set(lines % n_sets)
-
-    def groups(p):
-        # Group order may differ between refine and fresh sort; only the
-        # per-set access sequences (in time order) must agree.
-        return {
-            int(p.set_ids[g]): p.order[s : s + c].tolist()
-            for g, (s, c) in enumerate(zip(p.starts, p.counts))
-        }
-
-    assert groups(part) == groups(fresh)
-
-
 # ----------------------------------------------------------------------
 # Sharing
 # ----------------------------------------------------------------------
@@ -231,8 +197,10 @@ def test_refine_partition_matches_fresh_sort(trace, doublings):
 @given(traces())
 def test_consumer_reads_batch_matches_scalar(trace):
     lines, tids, writes = trace
-    assert count_consumer_reads_batch(lines, tids, writes) == \
-        _count_consumer_reads(lines, tids, writes)
+    want = _count_consumer_reads(lines, tids, writes)
+    cols = (lines * 64, tids, writes)
+    for chunks in (one_chunk(*cols), two_chunks(*cols)):
+        assert analyze_sharing_chunked(chunks).consumer_reads == want
 
 
 @settings(**_SETTINGS)
@@ -240,28 +208,26 @@ def test_consumer_reads_batch_matches_scalar(trace):
        st.integers(min_value=1, max_value=16))
 def test_sharing_at_size_batch_matches_scalar(trace, assoc, n_sets):
     lines, tids, _ = trace
-    got = sharing_at_size_batch(lines, tids, n_sets, assoc, force=True)
-    ref = sharing_at_size_scalar(
-        lines * 64, tids, n_sets * assoc * 64, assoc=assoc
-    )
-    assert got == (ref.shared_accesses, ref.lifetimes, ref.shared_lifetimes)
+    size = n_sets * assoc * 64
+    ref = sharing_at_size_scalar(lines * 64, tids, size, assoc=assoc)
+    for chunks in (one_chunk(lines * 64, tids), two_chunks(lines * 64, tids)):
+        assert sharing_at_size_chunked(chunks, size, assoc=assoc) == ref
 
 
 def test_sharing_at_size_batch_adversarial():
     rng = np.random.default_rng(11)
     for name, lines in _adversarial_traces():
         tids = rng.integers(0, 8, size=lines.size)
-        got = sharing_at_size_batch(lines, tids, 16, 4, force=True)
         ref = sharing_at_size_scalar(lines * 64, tids, 16 * 4 * 64)
-        assert got == (
-            ref.shared_accesses, ref.lifetimes, ref.shared_lifetimes
-        ), name
+        for chunks in (one_chunk(lines * 64, tids),
+                       two_chunks(lines * 64, tids)):
+            assert sharing_at_size_chunked(chunks, 16 * 4 * 64) == ref, name
 
 
 def test_sharing_batch_declines_wide_tids():
     lines = np.zeros(10, dtype=np.int64)
     tids = np.array([0] * 9 + [64], dtype=np.int64)  # beyond mask width
-    assert sharing_at_size_batch(lines, tids, 4, 4, force=True) is None
+    assert sharing_at_size_batch(lines, tids, 4, 4) is None
 
 
 # ----------------------------------------------------------------------
@@ -278,11 +244,11 @@ def test_coherence_batch_matches_scalar(trace, assoc, n_cores):
         assoc=assoc,
         n_cores=n_cores,
     )
-    got = simulate_coherent_caches_batch(
-        addrs, tids, writes, force=True, **kwargs
-    )
     want = simulate_coherent_caches_scalar(addrs, tids, writes, **kwargs)
-    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    for chunks in (one_chunk(addrs, tids, writes),
+                   two_chunks(addrs, tids, writes)):
+        got = simulate_coherent_caches_chunked(chunks, **kwargs)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
 
 def test_coherence_batch_adversarial():
@@ -292,14 +258,15 @@ def test_coherence_batch_adversarial():
         addrs = lines * 64 + rng.integers(0, 8, size=n) * 8
         tids = rng.integers(0, 8, size=n)
         writes = rng.random(n) < 0.5
-        got = simulate_coherent_caches_batch(
-            addrs, tids, writes, cache_bytes_per_core=16 * 4 * 64,
-            force=True,
-        )
         want = simulate_coherent_caches_scalar(
             addrs, tids, writes, cache_bytes_per_core=16 * 4 * 64
         )
-        assert dataclasses.asdict(got) == dataclasses.asdict(want), name
+        for chunks in (one_chunk(addrs, tids, writes),
+                       two_chunks(addrs, tids, writes)):
+            got = simulate_coherent_caches_chunked(
+                chunks, cache_bytes_per_core=16 * 4 * 64
+            )
+            assert dataclasses.asdict(got) == dataclasses.asdict(want), name
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,19 @@
-"""Bit-identical equivalence of the chunked analytics vs dense oracles.
+"""Bit-identical equivalence of the streaming analytics vs scalar oracles.
 
 The out-of-core pipeline only earns its keep if streaming a trace chunk
-by chunk is *indistinguishable* from the dense whole-trace computation.
+by chunk is *indistinguishable* from the per-access reference walk.
 Every streaming decomposition (reuse distances, sharing, the exact-LRU
-caches, coherence, GPU timing) is checked here against its dense
-counterpart at several chunk geometries, including the degenerate ones:
-single-access chunks, chunks that split mid-launch, and empty appends.
+caches, coherence, GPU timing) is checked here against its oracle at
+several chunk geometries, including the degenerate ones: single-access
+chunks, chunks that split mid-launch, and empty appends.  Each oracle
+runs once per module.
 """
 
 import numpy as np
 import pytest
 
 from repro.common import config as cfgmod
+from tests.chunks import chunks_of
 
 _N = 12000
 
@@ -27,42 +29,69 @@ def trace_cols():
     return addrs, tids, writes
 
 
-def _chunker(cols, size):
-    n = cols[0].size
-
-    def it():
-        for i in range(0, n, size):
-            yield tuple(c[i : i + size] for c in cols)
-
-    return it
-
-
 CHUNK_SIZES = (5000, 4097, 999, 1)
 
 
-@pytest.mark.parametrize("size", CHUNK_SIZES)
-def test_reuse_histogram_chunked_matches_dense(trace_cols, size):
-    from repro.analytics.chunked import reuse_histogram_chunked
-    from repro.cpusim.reuse import reuse_distance_histogram
+def _sharing_oracle(addrs, tids, writes, line_bytes=64):
+    """Per-access whole-run sharing statistics (Bienia-style)."""
+    from repro.cpusim.sharing import SharingStats, _count_consumer_reads
 
-    addrs = trace_cols[0]
-    hd, cd = reuse_distance_histogram(addrs, 64)
-    hc, cc = reuse_histogram_chunked(_chunker(trace_cols, size), 64)
+    lines = (addrs // line_bytes).astype(np.int64)
+    sharers = {}
+    written = set()
+    for line, tid, w in zip(lines.tolist(), tids.tolist(), writes.tolist()):
+        sharers.setdefault(line, set()).add(tid)
+        if w:
+            written.add(line)
+    shared = {line for line, ts in sharers.items() if len(ts) > 1}
+    return SharingStats(
+        total_lines=len(sharers),
+        shared_lines=len(shared),
+        total_accesses=int(lines.size),
+        shared_accesses=sum(line in shared for line in lines.tolist()),
+        write_shared_lines=len(written & shared),
+        consumer_reads=_count_consumer_reads(lines, tids, writes),
+        mean_sharers=float(np.mean([len(ts) for ts in sharers.values()])),
+    )
+
+
+@pytest.fixture(scope="module")
+def oracles(trace_cols):
+    """Every scalar oracle over the module's trace, computed once."""
+    from repro.cpusim.coherence import simulate_coherent_caches_scalar
+    from repro.cpusim.reuse import reuse_distance_histogram_scalar
+    from repro.cpusim.sharing import sharing_at_size_scalar
+
+    addrs, tids, writes = trace_cols
+    return {
+        "reuse": reuse_distance_histogram_scalar(addrs, 64),
+        "sharing": _sharing_oracle(addrs, tids, writes),
+        "sharing_at_size": {
+            size: sharing_at_size_scalar(addrs, tids, size)
+            for size in (256 * 1024, 4 * 1024 * 1024)
+        },
+        "coherence": simulate_coherent_caches_scalar(addrs, tids, writes),
+    }
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_reuse_histogram_chunked_matches_dense(trace_cols, oracles, size):
+    from repro.analytics.chunked import reuse_histogram_chunked
+
+    hd, cd = oracles["reuse"]
+    hc, cc = reuse_histogram_chunked(chunks_of(size, *trace_cols), 64)
     assert cc == cd
     np.testing.assert_array_equal(hc, hd)
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES[:3])
-def test_streaming_sharing_matches_dense(trace_cols, size):
+def test_streaming_sharing_matches_dense(trace_cols, oracles, size):
     from repro.analytics.chunked import StreamingSharing
-    from repro.cpusim.sharing import analyze_sharing
 
-    addrs, tids, writes = trace_cols
-    dense = analyze_sharing(addrs, tids, writes)
     st = StreamingSharing(64)
-    for a, t, w in _chunker(trace_cols, size)():
+    for a, t, w in chunks_of(size, *trace_cols)():
         st.update(a, t, w)
-    assert st.result(_chunker(trace_cols, size)) == dense
+    assert st.result(chunks_of(size, *trace_cols)) == oracles["sharing"]
 
 
 def test_streaming_sharing_rejects_wide_tids():
@@ -78,42 +107,76 @@ def test_streaming_sharing_rejects_wide_tids():
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES[:3])
-def test_sharing_at_size_chunked_matches_dense(trace_cols, size):
-    from repro.cpusim.sharing import sharing_at_size, sharing_at_size_chunked
+def test_sharing_at_size_chunked_matches_dense(trace_cols, oracles, size):
+    from repro.cpusim.sharing import sharing_at_size_chunked
+
+    for cache_bytes, want in oracles["sharing_at_size"].items():
+        chunked = sharing_at_size_chunked(
+            chunks_of(size, *trace_cols), cache_bytes
+        )
+        assert chunked == want
+
+
+def test_sharing_at_size_chunked_wide_tids_fall_back_to_scalar(trace_cols):
+    """A chunk carrying a thread id beyond the sharer mask sends the
+    whole trace through the scalar oracle."""
+    from repro.cpusim.sharing import (
+        SizeSharing,
+        sharing_at_size_chunked,
+        sharing_at_size_scalar,
+    )
 
     addrs, tids, _ = trace_cols
-    for cache_bytes in (256 * 1024, 4 * 1024 * 1024):
-        dense = sharing_at_size(addrs, tids, cache_bytes)
-        chunked = sharing_at_size_chunked(
-            _chunker(trace_cols, size), cache_bytes
-        )
-        assert chunked == dense
+    addrs, tids = addrs[:3000], tids[:3000].astype(np.int64)
+    tids[2500] = 64  # only the last chunk is too wide for the engine
+    want = sharing_at_size_scalar(addrs, tids, 16 * 1024)
+    assert want.shared_accesses > 0
+    got = sharing_at_size_chunked(chunks_of(1000, addrs, tids), 16 * 1024)
+    assert got == want
+    empty = sharing_at_size_chunked(lambda: iter(()), 16 * 1024)
+    assert empty == SizeSharing(16 * 1024, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("size", CHUNK_SIZES[:3])
-def test_coherence_chunked_matches_dense(trace_cols, size):
+def test_coherence_chunked_matches_dense(trace_cols, oracles, size):
+    from repro.cpusim.coherence import simulate_coherent_caches_chunked
+
+    chunked = simulate_coherent_caches_chunked(chunks_of(size, *trace_cols))
+    assert chunked == oracles["coherence"]
+
+
+def test_coherence_chunked_wide_lines_fall_back_to_scalar(trace_cols):
+    """Lines too wide for the touched-word masks take the scalar oracle."""
     from repro.cpusim.coherence import (
-        simulate_coherent_caches,
+        CoherenceStats,
         simulate_coherent_caches_chunked,
+        simulate_coherent_caches_scalar,
     )
 
-    addrs, tids, writes = trace_cols
-    dense = simulate_coherent_caches(addrs, tids, writes)
-    chunked = simulate_coherent_caches_chunked(_chunker(trace_cols, size))
-    assert chunked == dense
+    cols = tuple(c[:3000] for c in trace_cols)
+    want = simulate_coherent_caches_scalar(*cols, line_bytes=1024)
+    assert want.invalidations > 0
+    got = simulate_coherent_caches_chunked(
+        chunks_of(1000, *cols), line_bytes=1024
+    )
+    assert got == want
+    empty = simulate_coherent_caches_chunked(lambda: iter(()), line_bytes=1024)
+    assert empty == CoherenceStats(8, 0, 0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("size", (5000, 999))
-def test_miss_curves_chunked_match_dense(trace_cols, size):
-    from repro.cpusim.reuse import miss_rate_curve, miss_rate_curve_chunked
-    from repro.cpusim.workingset import fine_miss_curve, fine_miss_curve_chunked
-
-    addrs = trace_cols[0]
-    assert miss_rate_curve_chunked(_chunker(trace_cols, size)) == (
-        miss_rate_curve(addrs)
+def test_miss_curves_chunked_match_dense(trace_cols, oracles, size):
+    from repro.cpusim.reuse import (
+        curve_from_histogram,
+        miss_rate_curve_chunked,
     )
-    assert fine_miss_curve_chunked(_chunker(trace_cols, size)) == (
-        fine_miss_curve(addrs)
+    from repro.cpusim.workingset import fine_miss_curve_chunked, fine_size_grid
+
+    hist, cold = oracles["reuse"]
+    chunks = chunks_of(size, *trace_cols)
+    assert miss_rate_curve_chunked(chunks) == curve_from_histogram(hist, cold)
+    assert fine_miss_curve_chunked(chunks) == curve_from_histogram(
+        hist, cold, tuple(fine_size_grid())
     )
 
 
@@ -125,7 +188,7 @@ def test_shared_cache_warm_batches_match_dense(trace_cols):
     dense.run(addrs, record_hits=False)
     for size in (5000, 4097):
         warm = SharedCache(256 * 1024, assoc=4)
-        for a, _, _ in _chunker(trace_cols, size)():
+        for a, _, _ in chunks_of(size, *trace_cols)():
             warm.run(a, record_hits=False)
         d, w = dense.stats, warm.stats
         assert (d.accesses, d.misses, d.cold_misses, d.evictions) == (

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cpusim.coherence import CoherenceStats, simulate_coherent_caches
+from repro.cpusim.coherence import (
+    CoherenceStats,
+    simulate_coherent_caches_chunked,
+    simulate_coherent_caches_scalar,
+)
+from tests.chunks import one_chunk, two_chunks
 
 
 def _trace(triples):
@@ -16,7 +21,13 @@ def _trace(triples):
 
 
 def run(triples, **kw):
-    return simulate_coherent_caches(*_trace(triples), **kw)
+    """The scalar oracle's stats, asserted equal to the streaming
+    engine's on one chunk and on two."""
+    cols = _trace(triples)
+    want = simulate_coherent_caches_scalar(*cols, **kw)
+    for chunks in (one_chunk(*cols), two_chunks(*cols)):
+        assert simulate_coherent_caches_chunked(chunks, **kw) == want
+    return want
 
 
 class TestProtocol:
@@ -132,7 +143,7 @@ class TestAgainstSharedCache:
 
         machine = Machine()
         get("canneal").cpu_fn(machine, SimScale.TINY)
-        stats = simulate_coherent_caches(*machine.trace())
+        stats = simulate_coherent_caches_chunked(machine.iter_trace_chunks)
         # Concurrent swaps on the shared placement must produce
         # invalidation traffic.
         assert stats.invalidations > 0

@@ -27,7 +27,7 @@ from repro.service.server import RESPONSE_KIND
 # ----------------------------------------------------------------------
 # Injectable cold executors (must be module-level: the pool pickles them)
 # ----------------------------------------------------------------------
-def _slow_marker_execute(request_json, cache_dir, registry_dir):
+def _slow_marker_execute(request_json, cache_dir, registry_dir, rid):
     """Drop a unique marker per *execution*, sleep, answer canned."""
     req = ExperimentRequest.from_json(request_json)
     marker = Path(cache_dir) / f"exec-{os.getpid()}-{time.time_ns()}.marker"
@@ -37,12 +37,13 @@ def _slow_marker_execute(request_json, cache_dir, registry_dir):
         req.experiment, req.scale, rendered="canned",
         request_key=req.content_key(),
     )
-    return True, resp.to_json()
+    return True, resp.to_json(), None
 
 
-def _failing_execute(request_json, cache_dir, registry_dir):
+def _failing_execute(request_json, cache_dir, registry_dir, rid):
     req = ExperimentRequest.from_json(request_json)
-    return False, ExperimentResponse.failure(req, "injected failure").to_json()
+    failure = ExperimentResponse.failure(req, "injected failure")
+    return False, failure.to_json(), None
 
 
 def _markers(cache_dir) -> list:

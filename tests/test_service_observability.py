@@ -54,15 +54,16 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 
-def _slow_execute(request_json, cache_dir, registry_dir):
-    """Legacy 2-tuple fake: holds the cold slot long enough to observe."""
+def _slow_execute(request_json, cache_dir, registry_dir, rid):
+    """Fake without worker extras: holds the cold slot long enough to
+    observe."""
     req = ExperimentRequest.from_json(request_json)
     time.sleep(0.6)
     resp = ExperimentResponse(
         req.experiment, req.scale, rendered="canned",
         request_key=req.content_key(),
     )
-    return True, resp.to_json()
+    return True, resp.to_json(), None
 
 
 # ----------------------------------------------------------------------

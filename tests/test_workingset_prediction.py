@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.prediction import PredictionResult, knn_predict, leave_one_out
-from repro.cpusim.sharing import sharing_at_size
+from repro.cpusim.sharing import (
+    sharing_at_size_chunked,
+    sharing_at_size_scalar,
+)
 from repro.cpusim.workingset import (
     WorkingSet,
     detect_working_sets,
-    fine_miss_curve,
-    summarize,
+    fine_miss_curve_chunked,
 )
+from tests.chunks import one_chunk, two_chunks
 
 
 def _loop_trace(n_lines, repeats, line=64, offset=0):
@@ -20,12 +23,26 @@ def _loop_trace(n_lines, repeats, line=64, offset=0):
     return np.tile(np.arange(n_lines) * line + offset, repeats)
 
 
+def _working_sets(addrs):
+    """Fine curve + knee detection in one call."""
+    return detect_working_sets(fine_miss_curve_chunked(one_chunk(addrs)))
+
+
+def _sharing_at_size(addrs, tids, size_bytes):
+    """The scalar oracle's result, asserted equal to the streaming
+    engine's on one chunk and on two."""
+    want = sharing_at_size_scalar(addrs, tids, size_bytes)
+    for chunks in (one_chunk(addrs, tids), two_chunks(addrs, tids)):
+        assert sharing_at_size_chunked(chunks, size_bytes) == want
+    return want
+
+
 class TestFineCurve:
     def test_matches_loop_footprint(self):
         # 1000 lines = 64,000 B footprint: misses collapse once the
         # cache exceeds it.
         addrs = _loop_trace(1000, 20)
-        curve = fine_miss_curve(addrs)
+        curve = fine_miss_curve_chunked(one_chunk(addrs))
         small = curve[min(s for s in curve if s >= 16 * 1024)]
         big = curve[max(curve)]
         assert small > 0.9
@@ -34,13 +51,13 @@ class TestFineCurve:
     def test_monotone(self):
         rng = np.random.default_rng(0)
         addrs = rng.integers(0, 1 << 22, 20000) // 64 * 64
-        curve = fine_miss_curve(addrs)
+        curve = fine_miss_curve_chunked(one_chunk(addrs))
         vals = [curve[s] for s in sorted(curve)]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_grid_density(self):
         addrs = _loop_trace(100, 2)
-        curve = fine_miss_curve(addrs, points_per_octave=2)
+        curve = fine_miss_curve_chunked(one_chunk(addrs), points_per_octave=2)
         sizes = sorted(curve)
         # Two points per octave over 16 kB..32 MB: 11 octaves -> ~22.
         assert len(sizes) >= 20
@@ -49,7 +66,7 @@ class TestFineCurve:
 class TestKneeDetection:
     def test_single_working_set(self):
         addrs = _loop_trace(1000, 20)   # 64 kB working set
-        sets = summarize(addrs)
+        sets = _working_sets(addrs)
         assert len(sets) >= 1
         assert 64 * 1024 <= sets[0].size_bytes <= 256 * 1024
         assert sets[0].drop > 0.5
@@ -60,7 +77,7 @@ class TestKneeDetection:
         inner = _loop_trace(512, 40)
         outer = _loop_trace(32768, 1, offset=1 << 26)
         addrs = np.concatenate([inner, outer, inner, outer, inner])
-        sets = summarize(addrs)
+        sets = _working_sets(addrs)
         assert len(sets) == 2
         assert sets[0].size_bytes < 256 * 1024
         assert sets[1].size_bytes > 1024 * 1024
@@ -86,13 +103,13 @@ class TestSharingAtSize:
 
     def test_shared_hit_counted(self):
         a, t = self._trace([(0, 0), (0, 1), (0, 0)])
-        s = sharing_at_size(a, t, 4096)
+        s = _sharing_at_size(a, t, 4096)
         assert s.shared_accesses == 2  # t1's hit and t0's re-hit
         assert s.shared_lifetimes == 1
 
     def test_private_stream(self):
         a, t = self._trace([(i * 64, i % 2) for i in range(100)])
-        s = sharing_at_size(a, t, 64 * 1024)
+        s = _sharing_at_size(a, t, 64 * 1024)
         assert s.shared_accesses == 0
         assert s.frac_lifetimes_shared == 0.0
 
@@ -101,8 +118,8 @@ class TestSharingAtSize:
         sweep0 = [(i * 64, 0) for i in range(64)]
         sweep1 = [(i * 64, 1) for i in range(64)]
         a, t = self._trace(sweep0 + sweep1)
-        tiny = sharing_at_size(a, t, 1024)      # 16 lines: evicted first
-        big = sharing_at_size(a, t, 64 * 1024)  # all resident
+        tiny = _sharing_at_size(a, t, 1024)      # 16 lines: evicted first
+        big = _sharing_at_size(a, t, 64 * 1024)  # all resident
         assert big.shared_access_ratio > tiny.shared_access_ratio
         assert tiny.shared_accesses == 0
 
@@ -110,8 +127,8 @@ class TestSharingAtSize:
         rng = np.random.default_rng(1)
         a = rng.integers(0, 2048, 5000) * 64
         t = rng.integers(0, 4, 5000).astype(np.int16)
-        r_small = sharing_at_size(a, t, 16 * 1024).shared_access_ratio
-        r_big = sharing_at_size(a, t, 1 << 22).shared_access_ratio
+        r_small = _sharing_at_size(a, t, 16 * 1024).shared_access_ratio
+        r_big = _sharing_at_size(a, t, 1 << 22).shared_access_ratio
         assert r_big >= r_small
 
 
