@@ -29,7 +29,10 @@ from typing import Callable, Iterator, Tuple
 
 import numpy as np
 
-from repro.analytics.reuse import count_earlier_leq, previous_occurrence
+from repro.analytics.reuse import (
+    count_earlier_leq,
+    sorted_previous_occurrence,
+)
 
 #: Thread ids are packed into the low bits of the (line, tid) pair key.
 _TID_BITS = 6
@@ -78,7 +81,7 @@ class StreamingReuse:
 
         # Previous occurrence in *global* indices: in-chunk predecessor
         # where one exists, else the carried per-line last use.
-        prev_local = previous_occurrence(lines)
+        prev_local, order, sl = sorted_previous_occurrence(lines)
         prev = np.where(prev_local >= 0, prev_local + off, np.int64(-1))
         first = prev_local < 0
         if self._h_lines.size:
@@ -93,10 +96,15 @@ class StreamingReuse:
 
         # d[i] = #{j < i : p[j] <= p[i]} - p[i] - 1, with the count split
         # into history (every prior access precedes the chunk) and
-        # within-chunk dominance on rank-compressed values.
-        hist_cnt = np.searchsorted(self._h_prev, prev, side="right")
-        _, ranks = np.unique(prev, return_inverse=True)
-        within = count_earlier_leq(ranks.astype(np.int64))
+        # within-chunk dominance on rank-compressed values.  Without
+        # history, prev is chunk-local and already lies in [-1, m).
+        if off:
+            hist_cnt = np.searchsorted(self._h_prev, prev, side="right")
+            _, ranks = np.unique(prev, return_inverse=True)
+            within = count_earlier_leq(ranks.astype(np.int64))
+        else:
+            hist_cnt = 0
+            within = count_earlier_leq(prev)
         warm = prev >= 0
         self._cold += int(m - warm.sum())
         d = (hist_cnt + within - prev - 1)[warm]
@@ -108,10 +116,9 @@ class StreamingReuse:
             else:
                 self._hist[: h.size] += h
 
-        # Carry: merge prev values and per-line last uses.
+        # Carry: merge prev values and per-line last uses (the lines'
+        # stable sort is the one previous-occurrence already did).
         self._h_prev = np.sort(np.concatenate((self._h_prev, prev)))
-        order = np.argsort(lines, kind="stable")
-        sl = lines[order]
         end = np.concatenate((sl[1:] != sl[:-1], [True]))
         cl = sl[end]
         clast = off + order[end]

@@ -50,17 +50,25 @@ def previous_occurrence(keys: np.ndarray) -> np.ndarray:
     occurrence of ``keys[i]`` is simply its predecessor within the run
     of equal sorted keys.
     """
+    return sorted_previous_occurrence(keys)[0]
+
+
+def sorted_previous_occurrence(keys: np.ndarray) -> tuple:
+    """:func:`previous_occurrence` plus the stable sort it is built on.
+
+    Returns ``(prev, order, sorted_keys)`` with ``order`` the stable
+    argsort of ``keys``, for callers that need the sort as well.
+    """
     n = keys.size
     prev = np.full(n, -1, dtype=np.int64)
-    if n <= 1:
-        return prev
     order = np.argsort(keys, kind="stable")
     sk = keys[order]
-    same = sk[1:] == sk[:-1]
-    prev_sorted = np.full(n, -1, dtype=np.int64)
-    prev_sorted[1:][same] = order[:-1][same]
-    prev[order] = prev_sorted
-    return prev
+    if n > 1:
+        same = sk[1:] == sk[:-1]
+        prev_sorted = np.full(n, -1, dtype=np.int64)
+        prev_sorted[1:][same] = order[:-1][same]
+        prev[order] = prev_sorted
+    return prev, order, sk
 
 
 def count_earlier_leq(values: np.ndarray) -> np.ndarray:

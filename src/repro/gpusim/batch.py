@@ -22,11 +22,27 @@ block order at launch end:
   instructions, replays, serializations) commute and are accumulated
   directly.
 
-Kernels whose *host-side* control flow depends on per-block scalars
-(heartwall's per-block task switch, LUD's perimeter row/column split)
-raise when those scalars arrive as ``(B, 1)`` arrays; the launch runner
-catches the error, restores device memory from copy-on-first-write
-backups, and re-runs the launch on the scalar oracle.
+Per-block host values need no special form: ``bidx`` is a ``(B, 1)``
+column, so values derived from it (heartwall's task switch and search
+window) broadcast through lane arithmetic.  A host-level branch on such
+a value is written ``for _ in ctx.block_if(cond)``: the body runs once
+for the whole batch if any block is live, with the lane mask and the
+per-block executing flags narrowed to the live blocks; every block's
+events keep their program order under the ``(block, seq)`` tags, so the
+commit is unchanged (Leukocyte v2's persistent strip loop, LUD's
+perimeter row/column split).  LOCAL arrays -- per-thread private scratch
+that the scalar loop hands from block to block -- get one replica per
+block, seeded from the array's contents and written back after each
+pass, at the scalar addresses.
+
+Every production kernel batches.  The scalar loop remains the oracle
+and the fallback for kernels outside this contract: Python control flow
+on a ``(B, 1)`` value raises on its ambiguous truth value, ``ctx.shared``
+inside a ``block_if`` raises (per-block allocation order would
+diverge), and so does a block that reads LOCAL scratch an earlier block
+of its pass wrote.  The launch runner catches the error, restores
+device memory from copy-on-first-write backups, and re-runs the launch
+on the scalar loop.
 """
 
 from __future__ import annotations
@@ -95,22 +111,82 @@ def _bank_replays(amat: np.ndarray) -> int:
     return int((degree - 1)[degree > 1].sum())
 
 
-class BatchSharedArray(DeviceArray):
-    """Per-block shared memory for a whole batch: data is ``(B,) + shape``.
+class BatchBlockArray(DeviceArray):
+    """One replica per block of a batch: data is ``(B,) + shape``.
 
-    ``base`` (and therefore all address accounting) is the per-block base
-    the scalar engine would produce; only the backing buffer is widened.
-    ``size`` reports the per-block element count so the DSL bounds check
+    Backs per-block shared memory and LOCAL scratch.  ``base`` (and
+    therefore all address accounting) is the per-block base the scalar
+    engine would produce; only the backing buffer is widened.  ``size``
+    reports the per-block element count so the DSL bounds check
     validates per-block indices, exactly as the scalar path does.
     """
 
-    def __init__(self, data: np.ndarray, base: int, name: str, block_size: int):
-        super().__init__(data, base, Space.SHARED, name)
+    def __init__(self, data: np.ndarray, base: int, space: Space, name: str,
+                 block_size: int):
+        super().__init__(data, base, space, name)
         self.block_size = block_size
 
     @property
     def size(self) -> int:  # per-block bounds, not the batched buffer's
         return self.block_size
+
+
+class BatchLocalArray(BatchBlockArray):
+    """Per-block replicas of a LOCAL array for one batch pass.
+
+    LOCAL arrays are host-allocated once per launch and sized for a
+    single block's threads; the scalar loop hands the same scratch from
+    block to block.  Each block of the batch gets its own copy, seeded
+    from the array's current contents, at the array's addresses.  The
+    replica records which elements each block wrote, and which it read
+    before writing, so :meth:`write_back` can leave device memory as the
+    scalar loop would.
+    """
+
+    def __init__(self, source: DeviceArray, n_batch: int):
+        super().__init__(
+            np.repeat(source.data[None], n_batch, axis=0), source.base,
+            Space.LOCAL, source.name, source.size,
+        )
+        self.source = source
+        self.written = np.zeros((n_batch, source.size), dtype=bool)
+        self._fresh_reads: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    def track(self, rows: np.ndarray, elems: np.ndarray, read: bool,
+              write: bool) -> None:
+        """Note one access: block rows and per-block element indices."""
+        if read:
+            fresh = ~self.written[rows, elems]
+            if fresh.any():
+                self._fresh_reads.append((rows[fresh], elems[fresh]))
+        if write:
+            self.written[rows, elems] = True
+
+    def write_back(self, backup: Callable[[DeviceArray], None]) -> None:
+        """Give each element the value of the last block that wrote it.
+
+        A block that read an element before writing it saw the seed.
+        The scalar loop would have shown it an earlier block's write, so
+        if an earlier block of the pass wrote that element, this raises
+        and the launch falls back to the scalar loop.
+        """
+        touched = self.written.any(axis=0)
+        for rows, elems in self._fresh_reads:
+            first = np.argmax(self.written[:, elems], axis=0)
+            if (touched[elems] & (first < rows)).any():
+                raise RuntimeError(
+                    f"LOCAL {self.name}: a block read scratch that an "
+                    f"earlier block wrote; kernel requires the scalar path"
+                )
+        if not touched.any():
+            return
+        n_batch = self.written.shape[0]
+        last = n_batch - 1 - np.argmax(self.written[::-1], axis=0)
+        elems = np.flatnonzero(touched)
+        backup(self.source)
+        self.source.data.flat[elems] = self.data.reshape(n_batch, -1)[
+            last[elems], elems
+        ]
 
 
 class LaunchBuffer:
@@ -294,6 +370,8 @@ class BatchBlockCtx(BlockCtx):
         self._warp_blocks = np.repeat(
             bcol.ravel().astype(np.int32), self._n_warps
         )
+        self._pred_depth = 0
+        self._locals: Dict[int, BatchLocalArray] = {}
 
     # ------------------------------------------------------------------
     # Accounting
@@ -361,17 +439,46 @@ class BatchBlockCtx(BlockCtx):
             self.mask = saved
             self._exec = saved_exec
 
+    def block_if(self, cond):
+        """Host-level ``if`` for the whole batch.
+
+        ``cond`` is a ``(B, 1)`` column (or a scalar).  The body runs
+        once if any executing block is live, with the lane mask and the
+        per-block executing flags narrowed to the live blocks; both are
+        restored afterwards.  Nothing is charged, as on the scalar path.
+        """
+        live = np.broadcast_to(
+            np.asarray(cond, dtype=bool), (self.batch, 1)
+        )[:, 0] & self._exec
+        if not live.any():
+            return
+        saved_mask, saved_exec = self.mask, self._exec
+        self.mask = saved_mask & live[:, None]
+        self._exec = live
+        self._pred_depth += 1
+        try:
+            yield None
+        finally:
+            self._pred_depth -= 1
+            self.mask, self._exec = saved_mask, saved_exec
+
     # ------------------------------------------------------------------
     # Memory
     # ------------------------------------------------------------------
-    def shared(self, shape, dtype=np.float32, name: str = "") -> BatchSharedArray:
+    def shared(self, shape, dtype=np.float32, name: str = "") -> BatchBlockArray:
+        if self._pred_depth:
+            raise RuntimeError(
+                "ctx.shared inside ctx.block_if: per-block allocation "
+                "order would diverge; kernel requires the scalar path"
+            )
         block_shape = tuple(np.atleast_1d(np.array(shape, dtype=np.int64)))
         block_size = int(np.prod(block_shape))
         block_nbytes = block_size * np.dtype(dtype).itemsize
         data = np.zeros((self.batch,) + block_shape, dtype=dtype)
         base = self._gpu._allocator.alloc(block_nbytes, Space.SHARED)
-        arr = BatchSharedArray(
-            data, base, name or f"{Space.SHARED.value}@{base:#x}", block_size
+        arr = BatchBlockArray(
+            data, base, Space.SHARED,
+            name or f"{Space.SHARED.value}@{base:#x}", block_size,
         )
         self._shared_bytes += block_nbytes
         self._buf.shared_bytes_per_block = max(
@@ -379,38 +486,44 @@ class BatchBlockCtx(BlockCtx):
         )
         return arr
 
-    def _reject_local_write(self, arr: DeviceArray) -> None:
-        """Writable per-block local scratch cannot batch.
+    def _replica(self, arr: DeviceArray) -> DeviceArray:
+        """The per-block replica standing in for a LOCAL array."""
+        if arr.space != Space.LOCAL:
+            return arr
+        replica = self._locals.get(id(arr))
+        if replica is None:
+            replica = self._locals[id(arr)] = BatchLocalArray(arr, self.batch)
+        return replica
 
-        LOCAL arrays are host-allocated once per launch and sized for a
-        single block's threads; the sequential engine lets every block
-        scribble over the same scratch, which is exactly the cross-block
-        dataflow batching forbids.  Raising here routes the kernel to the
-        scalar path (read-only LOCAL data would be safe, but no such
-        kernels exist and a write is the cheap, certain signal).
-        """
-        if arr.space == Space.LOCAL:
-            raise RuntimeError(
-                f"batched engine cannot write block-reused local scratch "
-                f"{arr.name}; kernel requires the scalar path"
-            )
+    def finish_pass(self) -> None:
+        """Write every LOCAL replica back to its device array."""
+        for replica in self._locals.values():
+            replica.write_back(self._backup)
 
     def _backup(self, arr: DeviceArray) -> None:
         """Copy-on-first-write backup for scalar-oracle fallback."""
-        if isinstance(arr, BatchSharedArray):
-            return  # fresh per launch, nothing to restore
+        if isinstance(arr, BatchBlockArray):
+            return  # fresh per pass, nothing to restore
         key = id(arr)
         if key not in self._backups:
             self._backups[key] = (arr, arr.data.copy())
 
     def _flat_index(self, arr: DeviceArray, act_idx: np.ndarray,
-                    active: np.ndarray) -> np.ndarray:
-        if isinstance(arr, BatchSharedArray):
-            rows = np.broadcast_to(
-                np.arange(self.batch)[:, None], active.shape
-            )[active]
-            return act_idx + rows * arr.block_size
-        return act_idx
+                    active: np.ndarray, read: bool = False,
+                    write: bool = False) -> np.ndarray:
+        """Indices into ``arr.data.flat`` of the active lanes' elements.
+
+        Per-block replicas are indexed by block row; a LOCAL replica
+        also notes the access (:meth:`BatchLocalArray.track`).
+        """
+        if not isinstance(arr, BatchBlockArray):
+            return act_idx
+        rows = np.broadcast_to(
+            np.arange(self.batch)[:, None], active.shape
+        )[active]
+        if isinstance(arr, BatchLocalArray):
+            arr.track(rows, act_idx, read, write)
+        return act_idx + rows * arr.block_size
 
     def _account_mem(
         self, arr: DeviceArray, idx: np.ndarray, active: np.ndarray,
@@ -464,16 +577,19 @@ class BatchBlockCtx(BlockCtx):
     def load(self, arr: DeviceArray, idx) -> np.ndarray:
         if not self.mask.any():
             return np.zeros((self.batch, self.nthreads), dtype=arr.dtype)
+        arr = self._replica(arr)
         idx, active, act_idx = self._active_addrs(arr, idx)
         self._account_mem(arr, idx, active, is_store=False)
         out = np.zeros((self.batch, self.nthreads), dtype=arr.dtype)
-        out[active] = arr.data.flat[self._flat_index(arr, act_idx, active)]
+        out[active] = arr.data.flat[
+            self._flat_index(arr, act_idx, active, read=True)
+        ]
         return out
 
     def store(self, arr: DeviceArray, idx, values) -> None:
         if not self.mask.any():
             return
-        self._reject_local_write(arr)
+        arr = self._replica(arr)
         idx, active, act_idx = self._active_addrs(arr, idx)
         self._account_mem(arr, idx, active, is_store=True)
         vals = self.const(values, dtype=arr.dtype)
@@ -481,19 +597,21 @@ class BatchBlockCtx(BlockCtx):
         # Flat indices are block-major, and numpy fancy assignment
         # applies in index order, so duplicate targets resolve exactly as
         # the sequential-block loop does (last block wins).
-        arr.data.flat[self._flat_index(arr, act_idx, active)] = vals[active]
+        arr.data.flat[
+            self._flat_index(arr, act_idx, active, write=True)
+        ] = vals[active]
 
     def atomic_add(self, arr: DeviceArray, idx, values) -> None:
         if not self.mask.any():
             return
-        self._reject_local_write(arr)
+        arr = self._replica(arr)
         idx, active, act_idx = self._active_addrs(arr, idx)
         self._account_mem(arr, idx, active, is_store=True)
         vals = self.const(values, dtype=arr.dtype)
         self._backup(arr)
         np.add.at(
             arr.data.reshape(-1),
-            self._flat_index(arr, act_idx, active),
+            self._flat_index(arr, act_idx, active, read=True, write=True),
             vals[active],
         )
 
@@ -547,6 +665,7 @@ class BatchLaunch:
                         lo, n_batch, self._grid, self._block,
                     )
                     kernel(ctx, *args)
+                    ctx.finish_pass()
 
     def restore(self) -> None:
         """Undo every device write of a failed batch attempt."""

@@ -11,6 +11,13 @@ structured code:
     for _ in ctx.while_(lambda: i < n):   # while (i < n) { ... }
         ...
 
+Host branches on a block-uniform value -- a persistent block's strip
+range, LUD's row/column split -- use ``ctx.block_if`` on a value derived
+from ``ctx.bidx``; it charges nothing, because the branch is the host's:
+
+    for _ in ctx.block_if(ctx.bidx < rem):    # if (blockIdx.x < rem)
+        ...
+
 Executing a whole block in lockstep is functionally safe for race-free
 kernels (it is strictly *more* synchronized than hardware), which makes
 ``ctx.sync()`` a pure accounting event.  Every charged instruction is
@@ -184,6 +191,18 @@ class BlockCtx:
                 iteration += 1
         finally:
             self.mask = saved
+
+    def block_if(self, cond) -> Iterator[None]:
+        """Host-level ``if`` on a block-uniform value.
+
+        Used as ``for _ in ctx.block_if(cond): ...``: the body runs once
+        iff ``cond`` holds for this block, and nothing is charged (the
+        branch is taken by the host code, not by a warp).  Write ``cond``
+        as lane arithmetic on ``ctx.bidx`` (or other block-uniform
+        values) so the batch engine can evaluate it for many blocks.
+        """
+        if cond:
+            yield None
 
     def range_(self, n: Union[int, np.ndarray]) -> Iterator[int]:
         """Counted loop with a per-lane (or scalar) trip count."""

@@ -70,9 +70,9 @@ class GPU:
         self.trace = KernelTrace(app_name)
         self.tex_cache = CacheModel(_TEX_CACHE_BYTES, assoc=4, hash_sets=True)
         self.const_cache = CacheModel(_CONST_CACHE_BYTES, assoc=4)
-        # Kernels whose host-side control flow needs per-block scalars;
-        # once a batch attempt fails the kernel goes straight to the
-        # scalar engine on later launches.
+        # Kernels outside the batch engine's contract; once a batch
+        # attempt fails the kernel goes straight to the scalar engine on
+        # later launches.
         self._batch_fallbacks: set = set()
 
     # ------------------------------------------------------------------
@@ -137,8 +137,8 @@ class GPU:
         race-free kernels) with a fresh shared-memory arena each; by
         default the block-batched engine (:mod:`repro.gpusim.batch`)
         performs that execution many blocks at a time with bit-identical
-        traces, falling back to the per-block loop for kernels that need
-        per-block host scalars.
+        traces, falling back to the per-block loop for kernels outside
+        its contract (see that module).
         """
         grid2 = _as_2d(grid)
         block2 = _as_2d(block)
@@ -185,10 +185,11 @@ class GPU:
         """Try the block-batched engine; True on success.
 
         On any failure — typically a kernel whose Python-level control
-        flow needs per-block scalars and trips over ``(B, 1)`` arrays —
-        device memory is restored from copy-on-first-write backups, the
-        untouched launch trace is handed back to the scalar loop, and the
-        kernel is remembered as scalar-only.
+        flow branches on a per-block value and trips over a ``(B, 1)``
+        array instead of using ``ctx.block_if`` — device memory is
+        restored from copy-on-first-write backups, the untouched launch
+        trace is handed back to the scalar loop, and the kernel is
+        remembered as scalar-only.
         """
         from repro.gpusim.batch import BatchLaunch
 

@@ -155,24 +155,33 @@ def _extract_templates(frame0: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_offset(frame: np.ndarray, tpl: np.ndarray, py: int, px: int,
-                 search: int):
-    """Argmin-SSD offset within the search window (float32 reference)."""
+def _best_offsets(frame: np.ndarray, templates: np.ndarray,
+                  pos: np.ndarray, tasks: np.ndarray) -> tuple:
+    """Argmin-SSD offsets of every point at once (float32 reference).
+
+    Each point's SSD is accumulated over the full 9x9 offset window in
+    (ty, tx) order, so every sum rounds exactly as a sequential float32
+    scan would.  Outer points search the narrower 7x7 window: offsets
+    outside it are +inf.  ``np.argmin`` picks the first minimum in
+    row-major (oy, ox) order, which is the strict-``<`` scan's choice.
+    """
     h, w = frame.shape
     r = _TPL // 2
-    best = (np.float32(np.inf), 0, 0)
-    for oy in range(-search, search + 1):
-        for ox in range(-search, search + 1):
-            ssd = np.float32(0.0)
-            for ty in range(_TPL):
-                for tx in range(_TPL):
-                    sy = min(max(py + oy + ty - r, 0), h - 1)
-                    sx = min(max(px + ox + tx - r, 0), w - 1)
-                    d = np.float32(frame[sy, sx]) - tpl[ty, tx]
-                    ssd = np.float32(ssd + d * d)
-            if ssd < best[0]:
-                best = (ssd, oy, ox)
-    return best[1], best[2]
+    offs = np.arange(-_SEARCH, _SEARCH + 1)
+    ys = pos[:, 0, None, None] + offs[None, :, None] - r
+    xs = pos[:, 1, None, None] + offs[None, None, :] - r
+    ssd = np.zeros((pos.shape[0], _WIN, _WIN), dtype=np.float32)
+    for ty in range(_TPL):
+        rows = np.clip(ys + ty, 0, h - 1)
+        for tx in range(_TPL):
+            d = (frame[rows, np.clip(xs + tx, 0, w - 1)]
+                 - templates[:, ty, tx, None, None])
+            ssd += d * d
+    narrow = np.abs(offs) < _SEARCH
+    in_window = (tasks == 0)[:, None, None] | (narrow[:, None] & narrow)
+    best = np.where(in_window, ssd, np.float32(np.inf)).reshape(
+        pos.shape[0], -1).argmin(axis=1)
+    return offs[best // _WIN], offs[best % _WIN]
 
 
 def detect_radii(frame0: np.ndarray) -> tuple:
@@ -190,12 +199,9 @@ def reference(p: dict) -> np.ndarray:
     out[0] = points
     pos = points.copy()
     for f in range(1, p["frames"]):
-        for k in range(pos.shape[0]):
-            search = _SEARCH if tasks[k] == 0 else _SEARCH - 1
-            oy, ox = _best_offset(frames[f], templates[k], pos[k, 0],
-                                  pos[k, 1], search)
-            pos[k, 0] += oy
-            pos[k, 1] += ox
+        oy, ox = _best_offsets(frames[f], templates, pos, tasks)
+        pos[:, 0] += oy
+        pos[:, 1] += ox
         out[f] = pos
     return out
 
@@ -204,19 +210,21 @@ def _track_kernel(ctx, frame, const_tpl, const_task, positions, h, w, npts):
     """One block per sample point; lanes cover the 9x9 search window."""
     k = ctx.bidx
     # Block-uniform task selector, fetched through constant memory.
-    ctx.load(const_task, np.full(ctx.nthreads, k))
-    task = int(const_task.data[k])
+    ctx.load(const_task, ctx.const(k, np.int64))
+    task = const_task.data[k]
     # Braided parallelism: inner blocks search the full window, outer
-    # blocks a narrower one — a block-level divergent code path.
-    search = _SEARCH if task == 0 else _SEARCH - 1
+    # blocks a narrower one — a block-level divergent code path.  ``k``
+    # is a (B, 1) column on the batch engine, so task, search and win
+    # are per-block values that broadcast through the lane arithmetic.
+    search = np.where(task == 0, _SEARCH, _SEARCH - 1)
     win = 2 * search + 1
     lanes = ctx.tidx
     active = lanes < win * win
     ssd_sh = ctx.shared(_BLOCK, dtype=np.float32, name="ssd")
     idx_sh = ctx.shared(_BLOCK, dtype=np.int32, name="idx")
     r = _TPL // 2
-    py = ctx.load(positions, np.full(ctx.nthreads, 2 * k))
-    px = ctx.load(positions, np.full(ctx.nthreads, 2 * k + 1))
+    py = ctx.load(positions, ctx.const(2 * k, np.int64))
+    px = ctx.load(positions, ctx.const(2 * k + 1, np.int64))
     with ctx.masked(active):
         ctx.alu(6)
         oy = lanes // win - search
@@ -254,8 +262,8 @@ def _track_kernel(ctx, frame, const_tpl, const_task, positions, h, w, npts):
         ctx.alu(6)
         oy = best // win - search
         ox = best % win - search
-        ctx.store(positions, np.full(ctx.nthreads, 2 * k), py + oy)
-        ctx.store(positions, np.full(ctx.nthreads, 2 * k + 1), px + ox)
+        ctx.store(positions, ctx.const(2 * k, np.int64), py + oy)
+        ctx.store(positions, ctx.const(2 * k + 1, np.int64), px + ox)
 
 
 def _sobel_kernel(ctx, frame, edges, h, w):

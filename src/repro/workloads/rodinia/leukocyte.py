@@ -204,42 +204,24 @@ def _fused_kernel_v2(ctx, tex_gy, tex_gx, const_sin, const_cos, dilated,
         var = acc2 / _N_SAMPLES - mean * mean + 1e-6
         return mean * mean / var
 
-    def compute_row(img_row: int) -> None:
-        """Score one image row into its ring-buffer slot."""
-        if img_row < 0 or img_row >= h:
-            return
-        slot = img_row % smem_rows
-        for cbase in range(0, w, ctx.nthreads):
-            ctx.alu(3)
-            lanes_x = cbase + ctx.tidx
-            valid = lanes_x < w
-            flat = img_row * w + np.minimum(lanes_x, w - 1)
-            sc = gicov_at(flat, valid)
-            with ctx.masked(valid):
-                ctx.store(strip_scores,
-                          slot * w + np.minimum(lanes_x, w - 1), sc)
+    def compute_row(img_row) -> None:
+        """Score one image row (if inside the image) into its ring slot."""
+        for _ in ctx.block_if((img_row >= 0) & (img_row < h)):
+            slot = img_row % smem_rows
+            for cbase in range(0, w, ctx.nthreads):
+                ctx.alu(3)
+                lanes_x = cbase + ctx.tidx
+                valid = lanes_x < w
+                flat = img_row * w + np.minimum(lanes_x, w - 1)
+                sc = gicov_at(flat, valid)
+                with ctx.masked(valid):
+                    ctx.store(strip_scores,
+                              slot * w + np.minimum(lanes_x, w - 1), sc)
 
-    # Persistent blocks own *contiguous* strip ranges, so the shared
-    # ring buffer slides down the image and every row's GICOV score is
-    # computed exactly once (the point of the persistent-block version).
-    chunk = (n_strips + n_sms - 1) // n_sms
-    start = ctx.bidx * chunk
-    end = min(start + chunk, n_strips)
-    computed_hi = None
-    for strip in range(start, end):
-        base_row = strip * rows_per_strip
-        lo_needed = base_row - apron
-        hi_needed = base_row + rows_per_strip + apron
-        lo_compute = lo_needed if computed_hi is None else computed_hi
-        for img_row in range(lo_compute, hi_needed):
-            compute_row(img_row)
-        computed_hi = hi_needed
-        ctx.sync()
-        # Dilate within shared memory; write final values to global.
-        for r in range(rows_per_strip):
-            img_row = base_row + r
-            if img_row >= h:
-                break
+    def dilate_row(img_row) -> None:
+        """Dilate one image row (if inside the image) within shared
+        memory; write its final values to global."""
+        for _ in ctx.block_if(img_row < h):
             for cbase in range(0, w, ctx.nthreads):
                 ctx.alu(3)
                 lanes_x = cbase + ctx.tidx
@@ -259,7 +241,29 @@ def _fused_kernel_v2(ctx, tex_gy, tex_gx, const_sin, const_cos, dilated,
                             best = np.where(inb, np.maximum(best, v), best)
                     ctx.store(dilated, img_row * w + np.minimum(lanes_x, w - 1),
                               best)
-        ctx.sync()
+
+    # Persistent blocks own *contiguous* strip ranges, so the shared
+    # ring buffer slides down the image and every row's GICOV score is
+    # computed exactly once (the point of the persistent-block version).
+    # A block's j-th strip exists only while start + j < n_strips.
+    chunk = (n_strips + n_sms - 1) // n_sms
+    start = ctx.bidx * chunk
+    for j in range(chunk):
+        strip = start + j
+        for _ in ctx.block_if(strip < n_strips):
+            base_row = strip * rows_per_strip
+            # The first strip scores its rows plus both aprons; later
+            # strips score only the rows below what is already scored.
+            if j == 0:
+                lo_compute, n_rows = base_row - apron, smem_rows
+            else:
+                lo_compute, n_rows = base_row + apron, rows_per_strip
+            for i in range(n_rows):
+                compute_row(lo_compute + i)
+            ctx.sync()
+            for r in range(rows_per_strip):
+                dilate_row(base_row + r)
+            ctx.sync()
 
 
 def _gpu_common(gpu: GPU, scale: SimScale):

@@ -119,7 +119,7 @@ def _lud_perimeter(ctx, mat, n, k):
     work = ctx.shared((_B, _B), dtype=np.float32, name="work")
     _load_tile(ctx, mat, n, k, k, diag)
     lin = ctx.ty * _B + ctx.tx
-    if ctx.bidx < rem:
+    for _ in ctx.block_if(ctx.bidx < rem):
         # Row tile (k, k+1+bidx): solve L * U_tile = A_tile.
         tx_tile = k + 1 + ctx.bidx
         _load_tile(ctx, mat, n, k, tx_tile, work)
@@ -133,7 +133,7 @@ def _lud_perimeter(ctx, mat, n, k):
                 ctx.store(work, lin, v - lji * a)
             ctx.sync()
         _store_tile(ctx, mat, n, k, tx_tile, work)
-    else:
+    for _ in ctx.block_if(ctx.bidx >= rem):
         # Column tile (k+1+bidx-rem, k): solve L_tile * U = A_tile.
         ty_tile = k + 1 + ctx.bidx - rem
         _load_tile(ctx, mat, n, ty_tile, k, work)

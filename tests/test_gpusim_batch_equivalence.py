@@ -4,9 +4,13 @@ The engine in :mod:`repro.gpusim.batch` must be *bit-identical* to the
 sequential per-block oracle: every trace statistic (per-category counts,
 occupancy histograms, transaction address/block/store streams, shared
 replays, const/tex hit counts) and all device memory must match exactly,
-on every Rodinia GPU workload and on adversarial synthetic divergence
-patterns.  Kernels needing per-block host scalars must fall back to the
-scalar engine — transparently and with rolled-back device memory.
+on every Rodinia GPU workload, on both Parsec GPU ports, and on
+adversarial synthetic divergence patterns.  Every production kernel
+batches: ``KNOWN_FALLBACKS`` is empty.  Kernels outside the DSL contract
+(Python branches on per-block arrays, ``ctx.shared`` inside
+``ctx.block_if``, a block reading LOCAL scratch an earlier block wrote)
+must fall back to the scalar engine — transparently and with
+rolled-back device memory.
 """
 
 import numpy as np
@@ -15,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.common.config import SimScale
-from repro.gpusim import GPU, LAUNCH_ROUTES
+from repro.common.config import SimScale, override
+from repro.gpusim import GPU, LAUNCH_ROUTES, Space
 from repro.workloads import base as wl
+from repro.workloads.parsec import blackscholes, raytrace
 
 wl.load_all()
 GPU_WORKLOADS = sorted(n for n, d in wl.REGISTRY.items() if d.has_gpu)
@@ -28,10 +33,16 @@ VERSIONED = sorted(
     for v in d.gpu_versions
 )
 
-#: Kernels whose host-side control flow consumes per-block scalars (a
-#: task id, a diagonal split, a strip range); these are scalar-only by
-#: design and must be the *only* fallbacks.
-KNOWN_FALLBACKS = {"heartwall_track", "lud_perimeter", "gicov_dilate_v2"}
+#: Production kernels allowed to fall back to the scalar engine: none.
+#: Per-block host values are ``(B, 1)`` columns, block-level branches
+#: use ``ctx.block_if``, and LOCAL scratch has per-block replicas.
+KNOWN_FALLBACKS: set = set()
+
+#: The experimental Parsec GPU ports (Section V-B); not in the registry.
+PARSEC_PORTS = {
+    "blackscholes": blackscholes.gpu_port_run,
+    "raytrace": raytrace.gpu_port_run,
+}
 
 
 def assert_trace_equal(a, b, label=""):
@@ -109,6 +120,23 @@ class TestRodiniaEquivalence:
             np.testing.assert_array_equal(u, v, err_msg=f"{name}:v{version}")
 
 
+class TestParsecPortEquivalence:
+    @pytest.mark.parametrize("scale", [SimScale.TINY, SimScale.SMALL])
+    @pytest.mark.parametrize("name", sorted(PARSEC_PORTS))
+    def test_port_bit_identical_and_batched(self, name, scale):
+        runs = {}
+        for batch in (True, False):
+            del LAUNCH_ROUTES[:]
+            with override(gpu_batch=batch):
+                gpu = GPU(app_name=name)
+                result = PARSEC_PORTS[name](gpu, scale)
+            runs[batch] = (gpu.trace, np.asarray(result), list(LAUNCH_ROUTES))
+        assert_trace_equal(runs[True][0], runs[False][0], name)
+        np.testing.assert_array_equal(runs[True][1], runs[False][1])
+        assert runs[True][2], name
+        assert {how for _, how, _ in runs[True][2]} == {"batch"}, name
+
+
 def _adversarial_kernel(n, trip_mod, stride, thresh, csize, tsize):
     """A kernel exercising every batching hazard at once: per-lane loop
     trip counts (including whole blocks that never enter), nested masks,
@@ -184,6 +212,85 @@ class TestAdversarialDivergence:
         np.testing.assert_array_equal(ob, os_)
 
 
+def _predicated_kernel(n, chunk, n_strips, trip_mod, thresh, csize):
+    """Persistent blocks under block predicates: block b owns strips
+    ``[b * chunk, (b + 1) * chunk)`` clipped to ``n_strips``, so blocks run
+    different trip counts of a predicated body (none at all for some).
+    The body holds a shared-memory exchange with syncs, a masked update,
+    and a nested predicate around a divergent loop with a sync inside; a
+    last predicate holds for no block.  Values carried out of a body are
+    updated under ``ctx.mask``, as after ``ctx.masked``."""
+
+    def k(ctx, gin, gout, cmem):
+        T = ctx.nthreads
+        sm = ctx.shared((T,), np.float64)
+        acc = ctx.const(0.0, np.float64)
+        start = ctx.bidx * chunk
+        for j in range(chunk):
+            strip = start + j
+            for _ in ctx.block_if(strip < n_strips):
+                i = (strip * T + ctx.tidx) % n
+                v = ctx.load(gin, i)
+                ctx.store(sm, ctx.tidx, v)
+                ctx.sync()
+                with ctx.masked(v > thresh):
+                    u = ctx.load(sm, (ctx.tidx * 5 + 1) % T)
+                    ctx.alu(2)
+                    acc = np.where(ctx.mask, acc + u, acc)
+                for _ in ctx.block_if((ctx.bidx + j) % 2 == 0):
+                    for it in ctx.range_((ctx.gtid + j) % trip_mod):
+                        c = ctx.load(cmem, (i + it) % csize)
+                        acc = np.where(ctx.mask, acc + c, acc)
+                        ctx.sync()
+                ctx.sync()
+        for _ in ctx.block_if(ctx.bidx < 0):
+            ctx.store(gout, ctx.gtid, -acc)
+        ctx.store(gout, ctx.gtid, acc)
+
+    return k
+
+
+class TestBlockPredicates:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        threads=st.sampled_from([1, 7, 32, 64, 100]),
+        blocks=st.integers(1, 5),
+        chunk=st.integers(1, 3),
+        live_frac=st.floats(0.0, 1.0),
+        trip_mod=st.integers(1, 4),
+        thresh=st.floats(-2.0, 2.0),
+        blocks_per_pass=st.sampled_from([None, 1, 2]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_predicated_kernel_bit_identical(
+        self, threads, blocks, chunk, live_frac, trip_mod, thresh,
+        blocks_per_pass, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        n, csize = threads * blocks, 13
+        n_strips = int(round(live_frac * blocks * chunk))
+        host = rng.standard_normal(n)
+        chost = rng.standard_normal(csize)
+        kernel = _predicated_kernel(n, chunk, n_strips, trip_mod, thresh,
+                                    csize)
+        fields = {}
+        if blocks_per_pass:
+            fields["gpu_batch_lanes"] = blocks_per_pass * threads
+        results = {}
+        for batch in (True, False):
+            del LAUNCH_ROUTES[:]
+            with override(gpu_batch=batch, **fields):
+                gpu = GPU()
+                gin = gpu.to_device(host)
+                gout = gpu.alloc(n, dtype=np.float64)
+                cmem = gpu.to_const(chost)
+                gpu.launch(kernel, blocks, threads, gin, gout, cmem)
+            results[batch] = (gpu.trace, gout.to_host(), list(LAUNCH_ROUTES))
+        assert [e[1] for e in results[True][2]] == ["batch"]
+        assert_trace_equal(results[True][0], results[False][0], "predicated")
+        np.testing.assert_array_equal(results[True][1], results[False][1])
+
+
 class TestEngineMechanics:
     def test_toggle_off_disables_batching(self, monkeypatch):
         monkeypatch.setenv("REPRO_GPU_BATCH", "off")
@@ -245,29 +352,129 @@ class TestEngineMechanics:
         assert results["on"][2] == [("k", "scalar", 2)]
         assert results["off"][2] == [("k", "scalar", 2)]
 
-    def test_local_scratch_write_falls_back(self, monkeypatch):
+    @staticmethod
+    def _run_both(kernel, setup, grid, block, lanes=None):
+        """One launch, batched and scalar: {batch: (trace, arrays, routes)}."""
+        runs = {}
+        for batch in (True, False):
+            del LAUNCH_ROUTES[:]
+            fields = {"gpu_batch": batch}
+            if lanes is not None:
+                fields["gpu_batch_lanes"] = lanes
+            with override(**fields):
+                gpu = GPU()
+                arrays = setup(gpu)
+                gpu.launch(kernel, grid, block, *arrays)
+            runs[batch] = (
+                gpu.trace, [a.to_host() for a in arrays], list(LAUNCH_ROUTES)
+            )
+        assert_trace_equal(runs[True][0], runs[False][0], "both")
+        for u, v in zip(runs[True][1], runs[False][1]):
+            np.testing.assert_array_equal(u, v)
+        return runs
+
+    @pytest.mark.parametrize("lanes", [None, 64])
+    def test_local_scratch_batches(self, lanes):
         """Host-allocated LOCAL scratch is sized per block and reused by
-        every block in turn — cross-block dataflow the batch engine must
-        refuse (the raytracing port's traversal stack works this way)."""
-        from repro.gpusim import Space
+        every block in turn (the raytracing port's traversal stack works
+        this way).  Each block of a batch gets its own replica; after the
+        launch every element holds the last writing block's value, as
+        after the scalar loop, also when the grid spans several passes."""
 
         def k(ctx, scratch, out):
-            ctx.store(scratch, ctx.tidx, ctx.gtid)
-            ctx.store(out, ctx.gtid, ctx.load(scratch, ctx.tidx) * 2)
+            with ctx.masked((ctx.tidx + ctx.bidx) % 3 == 0):
+                ctx.store(scratch, ctx.tidx, ctx.gtid)
+                ctx.store(out, ctx.gtid, ctx.load(scratch, ctx.tidx) * 2)
 
-        results = {}
-        for mode in ("on", "off"):
-            monkeypatch.setenv("REPRO_GPU_BATCH", mode)
-            del LAUNCH_ROUTES[:]
-            gpu = GPU()
-            scratch = gpu.alloc(32, dtype=np.int64, space=Space.LOCAL)
-            out = gpu.alloc(128, dtype=np.int64)
-            gpu.launch(k, 4, 32, scratch, out)
-            results[mode] = (gpu.trace, out.to_host(), list(LAUNCH_ROUTES))
-        assert_trace_equal(results["on"][0], results["off"][0], "local")
-        np.testing.assert_array_equal(results["on"][1], results["off"][1])
-        np.testing.assert_array_equal(results["on"][1], np.arange(128) * 2)
-        assert [e[1] for e in results["on"][2]] == ["scalar"]
+        def setup(gpu):
+            scratch = gpu.to_device(
+                np.full(32, -1, dtype=np.int64), space=Space.LOCAL
+            )
+            return scratch, gpu.alloc(128, dtype=np.int64)
+
+        runs = self._run_both(k, setup, 4, 32, lanes)
+        scratch, out = runs[True][1]
+        assert [e[1] for e in runs[True][2]] == ["batch"]
+        live = (np.arange(128) % 32 + np.arange(128) // 32) % 3 == 0
+        np.testing.assert_array_equal(out[live], np.arange(128)[live] * 2)
+        last = {t: max(b for b in range(4) if (t + b) % 3 == 0)
+                for t in range(32)}
+        np.testing.assert_array_equal(
+            scratch, [last[t] * 32 + t for t in range(32)]
+        )
+
+    @pytest.mark.parametrize("lanes,route", [(None, "scalar"), (32, "batch")])
+    def test_local_read_of_earlier_block_write(self, lanes, route):
+        """A block that reads LOCAL scratch before writing it sees the
+        previous block's values on the scalar loop.  Replicas cannot show
+        that within one pass, so such a launch falls back; with one block
+        per pass the write-back carries the values and it batches."""
+
+        def k(ctx, scratch, out):
+            ctx.store(out, ctx.gtid, ctx.load(scratch, ctx.tidx))
+            ctx.store(scratch, ctx.tidx, ctx.gtid)
+
+        def setup(gpu):
+            scratch = gpu.to_device(
+                np.full(32, -1, dtype=np.int64), space=Space.LOCAL
+            )
+            return scratch, gpu.alloc(128, dtype=np.int64)
+
+        runs = self._run_both(k, setup, 4, 32, lanes)
+        assert [e[1] for e in runs[True][2]] == [route]
+        expect = np.concatenate([np.full(32, -1), np.arange(96)])
+        np.testing.assert_array_equal(runs[True][1][1], expect)
+
+    def test_block_if_equals_host_if(self):
+        """``ctx.block_if`` charges nothing: on the scalar engine it traces
+        exactly like a plain Python ``if``; batched, it still does."""
+
+        def host_if(ctx, out):
+            ctx.alu(1)
+            if ctx.bidx % 3 == 1:
+                ctx.sync()
+                ctx.store(out, ctx.gtid, ctx.gtid)
+
+        def block_if(ctx, out):
+            ctx.alu(1)
+            for _ in ctx.block_if(ctx.bidx % 3 == 1):
+                ctx.sync()
+                ctx.store(out, ctx.gtid, ctx.gtid)
+
+        traces = {}
+        for kernel, batch in ((host_if, False), (block_if, False),
+                              (block_if, True)):
+            with override(gpu_batch=batch):
+                gpu = GPU()
+                out = gpu.alloc(7 * 40, dtype=np.int64)
+                gpu.launch(kernel, 7, 40, out, name="k")
+            traces[kernel.__name__, batch] = (gpu.trace, out.to_host())
+        ref_trace, ref_out = traces["host_if", False]
+        for key in (("block_if", False), ("block_if", True)):
+            assert_trace_equal(traces[key][0], ref_trace, str(key))
+            np.testing.assert_array_equal(traces[key][1], ref_out)
+
+    def test_shared_inside_block_if_falls_back(self):
+        """Allocating shared memory in a predicated body would diverge the
+        per-block allocation order; the batch attempt raises, memory is
+        rolled back, and the scalar loop produces the trace."""
+
+        def k(ctx, out):
+            ctx.store(out, ctx.gtid, ctx.gtid + 1)
+            for _ in ctx.block_if(ctx.bidx % 2 == 1):
+                sm = ctx.shared((ctx.nthreads,), np.int64)
+                ctx.store(sm, ctx.tidx, ctx.gtid)
+                ctx.sync()
+                mirrored = ctx.load(sm, ctx.nthreads - 1 - ctx.tidx)
+                ctx.store(out, ctx.gtid, mirrored)
+
+        runs = self._run_both(
+            k, lambda gpu: (gpu.alloc(96, dtype=np.int64),), 3, 32
+        )
+        assert [e[1] for e in runs[True][2]] == ["scalar"]
+        out = runs[True][1][0]
+        np.testing.assert_array_equal(out[:32], np.arange(1, 33))
+        np.testing.assert_array_equal(out[32:64], np.arange(63, 31, -1))
 
     def test_fallback_memoized_per_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_GPU_BATCH", "on")

@@ -166,3 +166,58 @@ class TestSignatureBehaviours:
                     if lt.kernel_name == "lud_internal"]
         sizes = [lt.n_blocks for lt in internal]
         assert sizes == sorted(sizes, reverse=True)
+
+
+def _heartwall_track_scalar(p: dict) -> np.ndarray:
+    """Pure-Python heartwall tracker: the oracle of ``heartwall.reference``.
+
+    Scans each point's search window offset by offset in row-major
+    (oy, ox) order, accumulating the float32 SSD pixel by pixel and
+    keeping the first strict minimum.
+    """
+    from repro.workloads.rodinia import heartwall as hw
+
+    frames, _, _ = hw._inputs(p)
+    points, tasks = hw._initial_points(p, *hw.detect_radii(frames[0]))
+    templates = hw._extract_templates(frames[0], points)
+    h, w = p["h"], p["w"]
+    r = hw._TPL // 2
+    out = np.empty((p["frames"], points.shape[0], 2), dtype=np.int64)
+    out[0] = points
+    pos = points.copy()
+    for f in range(1, p["frames"]):
+        frame = frames[f]
+        for k in range(pos.shape[0]):
+            search = hw._SEARCH if tasks[k] == 0 else hw._SEARCH - 1
+            py, px = pos[k]
+            best = (np.float32(np.inf), 0, 0)
+            for oy in range(-search, search + 1):
+                for ox in range(-search, search + 1):
+                    ssd = np.float32(0.0)
+                    for ty in range(hw._TPL):
+                        for tx in range(hw._TPL):
+                            sy = min(max(py + oy + ty - r, 0), h - 1)
+                            sx = min(max(px + ox + tx - r, 0), w - 1)
+                            d = (np.float32(frame[sy, sx])
+                                 - templates[k, ty, tx])
+                            ssd = np.float32(ssd + d * d)
+                    if ssd < best[0]:
+                        best = (ssd, oy, ox)
+            pos[k, 0] += best[1]
+            pos[k, 1] += best[2]
+        out[f] = pos
+    return out
+
+
+class TestHeartwallReference:
+    """The vectorized reference tracker equals the scalar scan exactly."""
+
+    @pytest.mark.parametrize("scale", list(SimScale))
+    @pytest.mark.parametrize("sizes", ["gpu_sizes", "cpu_sizes"])
+    def test_matches_scalar_tracker(self, scale, sizes):
+        from repro.workloads.rodinia import heartwall as hw
+
+        p = getattr(hw, sizes)(scale)
+        np.testing.assert_array_equal(
+            hw.reference(p), _heartwall_track_scalar(p)
+        )
