@@ -21,9 +21,10 @@ from repro.core.features import clear_caches, gpu_trace_for
 _MAX_OVERHEAD = 0.02
 
 
-#: HotSpot runs fully batched (probes at launch granularity); LUD's
-#: perimeter kernels fall back to the scalar engine, where the
-#: per-access coalescing probes fire — together they exercise both
+#: GPU probes fire per launch and per batch pass.  HotSpot makes few
+#: launches over many blocks (3 over 432 at SMALL); LUD's diagonal,
+#: perimeter and internal kernels make many small ones (22 over 204),
+#: a far denser probe rate per block — together they exercise both
 #: probe densities.
 _WORKLOADS = ("hotspot", "lud")
 

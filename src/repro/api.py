@@ -39,8 +39,6 @@ SCHEMA_VERSION = 1
 #: (``cache_dir``, ``registry_dir``, ``trace``): where a service persists
 #: its stores is the operator's decision, never the remote caller's.
 OVERRIDABLE_CONFIG = {
-    "gpu_batch": bool,
-    "gpu_batch_lanes": int,
     "trace_budget": int,
     "trace_chunk_rows": int,
 }
@@ -67,16 +65,10 @@ def validate_overrides(config: Mapping[str, Any]) -> Dict[str, Any]:
                 f"config override {key!r} is not allowed; "
                 f"overridable: {sorted(OVERRIDABLE_CONFIG)}"
             )
-        want = OVERRIDABLE_CONFIG[key]
         value = config[key]
-        if want is bool:
-            if not isinstance(value, bool):
-                raise ValueError(f"config override {key!r} must be a bool")
-            out[key] = value
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"config override {key!r} must be a number")
-            out[key] = int(value)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"config override {key!r} must be a number")
+        out[key] = OVERRIDABLE_CONFIG[key](value)
     return out
 
 

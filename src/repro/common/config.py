@@ -59,12 +59,9 @@ def scaled(base: int, scale: SimScale, minimum: int = 1) -> int:
 # ----------------------------------------------------------------------
 # Runtime configuration (REPRO_* environment toggles)
 # ----------------------------------------------------------------------
-#: Values that turn a boolean toggle off, matching the historical
-#: per-module parsers (``REPRO_CACHE=off``, ``REPRO_GPU_BATCH=0``, ...).
+#: Values that turn a toggle off (``REPRO_CACHE=off``,
+#: ``REPRO_PROFILE=0``, ``REPRO_REGISTRY=no``, ...).
 FALSE_VALUES = ("off", "0", "no", "false")
-
-#: Default lane budget per batched-GPU step (see repro.gpusim.batch).
-DEFAULT_BATCH_LANES = 1 << 18
 
 #: Default artifact-cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -96,8 +93,6 @@ DEFAULT_SERVICE_SLOW_MS = 1000.0
 DEFAULT_PERF_HISTORY = "benchmarks/perf-history.jsonl"
 
 _ENV_VARS = (
-    "REPRO_GPU_BATCH",
-    "REPRO_GPU_BATCH_LANES",
     "REPRO_CACHE",
     "REPRO_CACHE_DIR",
     "REPRO_CACHE_BUDGET",
@@ -142,10 +137,6 @@ def _env_true(value: Optional[str], default: bool = True) -> bool:
 class RuntimeConfig:
     """Every runtime toggle of the stack, as one typed, immutable record.
 
-    gpu_batch       -- route kernel launches through the block-batched
-                       engine (``REPRO_GPU_BATCH``, default on).
-    gpu_batch_lanes -- lane budget per batch step
-                       (``REPRO_GPU_BATCH_LANES``).
     cache           -- persist workload artifacts on disk
                        (``REPRO_CACHE``, default on).
     cache_dir       -- artifact-cache root (``REPRO_CACHE_DIR``).
@@ -189,8 +180,6 @@ class RuntimeConfig:
                        explicit ``--history``).
     """
 
-    gpu_batch: bool = True
-    gpu_batch_lanes: int = DEFAULT_BATCH_LANES
     cache: bool = True
     cache_dir: str = DEFAULT_CACHE_DIR
     trace: Optional[str] = None
@@ -211,10 +200,6 @@ class RuntimeConfig:
     @classmethod
     def from_env(cls) -> "RuntimeConfig":
         """Resolve every field from the environment (the fallback source)."""
-        try:
-            lanes = max(1, int(os.environ.get("REPRO_GPU_BATCH_LANES", "")))
-        except ValueError:
-            lanes = DEFAULT_BATCH_LANES
         registry = os.environ.get("REPRO_REGISTRY", "").strip()
         if not registry or registry.lower() in FALSE_VALUES:
             registry_dir = None
@@ -250,8 +235,6 @@ class RuntimeConfig:
                 return default
 
         return cls(
-            gpu_batch=_env_true(os.environ.get("REPRO_GPU_BATCH")),
-            gpu_batch_lanes=lanes,
             cache=_env_true(os.environ.get("REPRO_CACHE")),
             cache_dir=os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR),
             trace=os.environ.get("REPRO_TRACE") or None,
@@ -310,8 +293,8 @@ def config() -> RuntimeConfig:
 def override(**fields) -> Iterator[RuntimeConfig]:
     """Temporarily replace selected config fields (tests, tools).
 
-        with override(gpu_batch=False):
-            ...  # every launch takes the scalar path
+        with override(cache=False):
+            ...  # every workload executes; no artifact is read or written
 
     Overrides nest; each layer is the previous active config with the
     named fields replaced.

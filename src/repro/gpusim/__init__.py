@@ -14,7 +14,7 @@ from repro.gpusim.batch import BatchBlockCtx
 from repro.gpusim.config import GPUConfig
 from repro.gpusim.divergence import DivergenceStats, analyze_divergence
 from repro.gpusim.dsl import BlockCtx
-from repro.gpusim.gpu import GPU, LAUNCH_ROUTES, batch_enabled
+from repro.gpusim.gpu import GPU, LAUNCH_ROUTES
 from repro.gpusim.isa import Space
 from repro.gpusim.memory import DeviceArray
 from repro.gpusim.profiler import (
@@ -41,7 +41,6 @@ __all__ = [
     "BlockCtx",
     "BatchBlockCtx",
     "LAUNCH_ROUTES",
-    "batch_enabled",
     "Space",
     "DeviceArray",
     "TimingModel",

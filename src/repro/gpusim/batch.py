@@ -1,8 +1,8 @@
 """Block-batched SIMT execution engine.
 
-The scalar engine in :mod:`repro.gpusim.gpu` runs a kernel once per
-thread block, which costs thousands of Python round-trips for large
-grids.  This module executes ``B`` blocks per kernel invocation as
+The DSL's reference semantics run a kernel once per thread block, which
+costs thousands of Python round-trips for large grids.  ``GPU.launch``
+runs every launch here instead: ``B`` blocks per kernel invocation, as
 ``(B, T)`` lane matrices: divergence masks, loads/stores, and the warp
 accounting (coalescing, bank conflicts, const/tex filtering) all operate
 on the whole ``(B * n_warps, 32)`` address matrix in a few numpy passes.
@@ -17,7 +17,7 @@ block order at launch end:
 - Texture/constant cache accesses are replayed through the (stateful)
   caches in the same sequential-block order, on the batch LRU engine of
   :mod:`repro.analytics.cache`; hit/miss accounting and the resulting
-  miss transactions are therefore bit-identical to the scalar oracle.
+  miss transactions are therefore bit-identical to the per-block loop.
 - Scalar aggregate counters (occupancy histogram, per-category warp
   instructions, replays, serializations) commute and are accumulated
   directly.
@@ -31,18 +31,17 @@ per-block executing flags narrowed to the live blocks; every block's
 events keep their program order under the ``(block, seq)`` tags, so the
 commit is unchanged (Leukocyte v2's persistent strip loop, LUD's
 perimeter row/column split).  LOCAL arrays -- per-thread private scratch
-that the scalar loop hands from block to block -- get one replica per
+that the per-block loop hands from block to block -- get one replica per
 block, seeded from the array's contents and written back after each
-pass, at the scalar addresses.
+pass, at the per-block addresses.
 
-Every production kernel batches.  The scalar loop remains the oracle
-and the fallback for kernels outside this contract: Python control flow
-on a ``(B, 1)`` value raises on its ambiguous truth value, ``ctx.shared``
-inside a ``block_if`` raises (per-block allocation order would
-diverge), and so does a block that reads LOCAL scratch an earlier block
-of its pass wrote.  The launch runner catches the error, restores
-device memory from copy-on-first-write backups, and re-runs the launch
-on the scalar loop.
+A kernel must keep the three rules of :data:`DSL_CONTRACT`: a Python
+``if`` on a ``(B, 1)`` value raises on its ambiguous truth value,
+per-block ``ctx.shared`` allocation order would diverge inside a
+``block_if``, and only the per-block loop can show a block the LOCAL
+scratch an earlier block of its pass wrote.  A launch that breaks one
+raises from ``GPU.launch``, naming the kernel.  The per-block loop
+(:func:`repro.gpusim.dsl.run_blocks_scalar`) is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -52,8 +51,7 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 
 from repro import telemetry
-from repro.common.config import config as runtime_config
-from repro.gpusim.dsl import BlockCtx
+from repro.gpusim.dsl import BlockCtx, KernelFault
 from repro.gpusim.isa import (
     BANK_WORD_BYTES,
     SHARED_BANKS,
@@ -68,13 +66,23 @@ from repro.gpusim.trace import LaunchTrace
 #: far below this, so sentinel-derived quotients can never collide.
 _SENTINEL = np.int64(np.iinfo(np.int64).max)
 
-def batch_lanes() -> int:
-    """Lane budget per batch step (``REPRO_GPU_BATCH_LANES``).
+#: Lane budget per batch pass.  Grids needing more lanes run in
+#: sequential passes of whole blocks (preserving the block order the
+#: trace commit relies on).
+BATCH_LANES = 1 << 18
 
-    Grids needing more lanes run in sequential chunks of whole blocks
-    (preserving the block order the trace commit relies on).
-    """
-    return runtime_config().gpu_batch_lanes
+#: What a kernel must do to run on this engine.
+DSL_CONTRACT = (
+    "branch on a per-block (B, 1) value only through ctx.block_if, "
+    "allocate no ctx.shared inside ctx.block_if, and read no LOCAL "
+    "scratch that an earlier block of the same pass wrote"
+)
+
+#: Route log: one ``(kernel_name, "batch", n_blocks)`` entry per
+#: committed launch.  Importers (``repro.gpusim``, ``repro.gpusim.gpu``,
+#: ``repro.gpusim.plans.PLAN_ROUTES``) hold this same list object, so
+#: clear it in place and never rebind it.
+LAUNCH_ROUTES: List[Tuple[str, str, int]] = []
 
 
 def _row_unique(amat: np.ndarray, divisor: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -115,10 +123,10 @@ class BatchBlockArray(DeviceArray):
     """One replica per block of a batch: data is ``(B,) + shape``.
 
     Backs per-block shared memory and LOCAL scratch.  ``base`` (and
-    therefore all address accounting) is the per-block base the scalar
-    engine would produce; only the backing buffer is widened.  ``size``
-    reports the per-block element count so the DSL bounds check
-    validates per-block indices, exactly as the scalar path does.
+    therefore all address accounting) is the base the per-block loop
+    would produce; only the backing buffer is widened.  ``size`` reports
+    the per-block element count so the DSL bounds check validates
+    per-block indices, exactly as the per-block loop does.
     """
 
     def __init__(self, data: np.ndarray, base: int, space: Space, name: str,
@@ -135,12 +143,12 @@ class BatchLocalArray(BatchBlockArray):
     """Per-block replicas of a LOCAL array for one batch pass.
 
     LOCAL arrays are host-allocated once per launch and sized for a
-    single block's threads; the scalar loop hands the same scratch from
-    block to block.  Each block of the batch gets its own copy, seeded
+    single block's threads; the per-block loop hands the same scratch
+    from block to block.  Each block of the batch gets its own copy, seeded
     from the array's current contents, at the array's addresses.  The
     replica records which elements each block wrote, and which it read
     before writing, so :meth:`write_back` can leave device memory as the
-    scalar loop would.
+    per-block loop would.
     """
 
     def __init__(self, source: DeviceArray, n_batch: int):
@@ -162,13 +170,13 @@ class BatchLocalArray(BatchBlockArray):
         if write:
             self.written[rows, elems] = True
 
-    def write_back(self, backup: Callable[[DeviceArray], None]) -> None:
+    def write_back(self) -> None:
         """Give each element the value of the last block that wrote it.
 
         A block that read an element before writing it saw the seed.
-        The scalar loop would have shown it an earlier block's write, so
-        if an earlier block of the pass wrote that element, this raises
-        and the launch falls back to the scalar loop.
+        The per-block loop would have shown it an earlier block's write,
+        so if an earlier block of the pass wrote that element, this
+        raises: the kernel is outside the DSL contract.
         """
         touched = self.written.any(axis=0)
         for rows, elems in self._fresh_reads:
@@ -176,14 +184,13 @@ class BatchLocalArray(BatchBlockArray):
             if (touched[elems] & (first < rows)).any():
                 raise RuntimeError(
                     f"LOCAL {self.name}: a block read scratch that an "
-                    f"earlier block wrote; kernel requires the scalar path"
+                    f"earlier block of its pass wrote"
                 )
         if not touched.any():
             return
         n_batch = self.written.shape[0]
         last = n_batch - 1 - np.argmax(self.written[::-1], axis=0)
         elems = np.flatnonzero(touched)
-        backup(self.source)
         self.source.data.flat[elems] = self.data.reshape(n_batch, -1)[
             last[elems], elems
         ]
@@ -194,8 +201,7 @@ class LaunchBuffer:
 
     Everything the DSL would record on the :class:`LaunchTrace` (and the
     tex/const caches) is staged here and applied by :meth:`commit` in
-    sequential block order — which also makes a mid-launch fallback to
-    the scalar engine side-effect free.
+    sequential block order.
     """
 
     def __init__(self):
@@ -251,6 +257,7 @@ class LaunchBuffer:
     def _replay_cache(self, kind: str, cache) -> Tuple[np.ndarray, ...]:
         """Replay one cache's accesses in (block, seq) order; misses out."""
         events = self._cache_events[kind]
+        self._cache_events[kind] = []
         if not events:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.astype(np.int32), empty, 0
@@ -260,8 +267,9 @@ class LaunchBuffer:
             np.array([e[0] for e in events], dtype=np.int64),
             np.array([e[1].size for e in events], dtype=np.int64),
         )
+        del events
         # Events were appended in seq order, so one stable sort by block
-        # yields the scalar engine's sequential-block access order.
+        # yields the per-block loop's sequential-block access order.
         order = np.argsort(blocks, kind="stable")
         addrs, blocks, seqs = addrs[order], blocks[order], seqs[order]
         hits = cache.access(addrs)
@@ -292,35 +300,31 @@ class LaunchBuffer:
 
         # Assemble the off-chip transaction stream: global/local
         # transactions plus const/tex misses, merged into per-block
-        # program order by one stable (block, seq) sort.
-        addr_parts = [e[1] for e in self._mem_events]
-        block_parts = [e[2] for e in self._mem_events]
-        seq_parts = [
-            np.full(e[1].size, e[0], dtype=np.int64) for e in self._mem_events
-        ]
-        store_parts = [
-            np.full(e[1].size, e[3], dtype=bool) for e in self._mem_events
-        ]
-        for miss in (const_miss, tex_miss):
-            if miss[0].size:
-                addr_parts.append(miss[0])
-                block_parts.append(miss[1])
-                seq_parts.append(miss[2])
-                store_parts.append(np.zeros(miss[0].size, dtype=bool))
-        if not addr_parts:
+        # program order by one stable (block, seq) sort.  Event lists go
+        # once concatenated, unsorted columns once sorted.
+        events, self._mem_events = self._mem_events, []
+        misses = [m for m in (const_miss, tex_miss) if m[0].size]
+        if not events and not misses:
             return
-        addrs = np.concatenate(addr_parts)
-        blocks = np.concatenate(block_parts)
-        seqs = np.concatenate(seq_parts)
-        stores = np.concatenate(store_parts)
-        order = np.lexsort((seqs, blocks))
-        # Off-chip transactions committed by the batched path; pairs with
-        # the scalar path's per-warp recording so the profiler's counter
-        # sets can be cross-checked against live telemetry totals.
-        telemetry.count("gpusim.batch.transactions", int(addrs.size))
-        launch.record_transaction_stream(
-            addrs[order], blocks[order], stores[order]
+        sizes = np.array([e[1].size for e in events], dtype=np.int64)
+        addrs = np.concatenate([e[1] for e in events] + [m[0] for m in misses])
+        blocks = np.concatenate([e[2] for e in events] + [m[1] for m in misses])
+        seqs = np.concatenate(
+            [np.repeat(np.array([e[0] for e in events], dtype=np.int64), sizes)]
+            + [m[2] for m in misses]
         )
+        stores = np.zeros(addrs.size, dtype=bool)
+        stores[: sizes.sum()] = np.repeat(
+            np.array([e[3] for e in events], dtype=bool), sizes
+        )
+        del events, misses, const_miss, tex_miss
+        order = np.lexsort((seqs, blocks))
+        del seqs
+        addrs, blocks, stores = addrs[order], blocks[order], stores[order]
+        # Off-chip transactions of the committed launch: the live total
+        # the profiler's counter sets can be cross-checked against.
+        telemetry.count("gpusim.batch.transactions", int(addrs.size))
+        launch.record_transaction_stream(addrs, blocks, stores)
 
 
 class BatchBlockCtx(BlockCtx):
@@ -338,7 +342,6 @@ class BatchBlockCtx(BlockCtx):
         self,
         gpu: "repro.gpusim.gpu.GPU",
         buf: LaunchBuffer,
-        backups: Dict[int, Tuple[DeviceArray, np.ndarray]],
         block_lo: int,
         n_batch: int,
         grid: tuple,
@@ -346,7 +349,6 @@ class BatchBlockCtx(BlockCtx):
     ):
         self._gpu = gpu
         self._buf = buf
-        self._backups = backups
         self._grid = grid
         self._block = block
         self.nthreads = block[0] * block[1]
@@ -445,7 +447,7 @@ class BatchBlockCtx(BlockCtx):
         ``cond`` is a ``(B, 1)`` column (or a scalar).  The body runs
         once if any executing block is live, with the lane mask and the
         per-block executing flags narrowed to the live blocks; both are
-        restored afterwards.  Nothing is charged, as on the scalar path.
+        restored afterwards.  Nothing is charged, as on the per-block loop.
         """
         live = np.broadcast_to(
             np.asarray(cond, dtype=bool), (self.batch, 1)
@@ -469,7 +471,7 @@ class BatchBlockCtx(BlockCtx):
         if self._pred_depth:
             raise RuntimeError(
                 "ctx.shared inside ctx.block_if: per-block allocation "
-                "order would diverge; kernel requires the scalar path"
+                "order would diverge"
             )
         block_shape = tuple(np.atleast_1d(np.array(shape, dtype=np.int64)))
         block_size = int(np.prod(block_shape))
@@ -498,15 +500,7 @@ class BatchBlockCtx(BlockCtx):
     def finish_pass(self) -> None:
         """Write every LOCAL replica back to its device array."""
         for replica in self._locals.values():
-            replica.write_back(self._backup)
-
-    def _backup(self, arr: DeviceArray) -> None:
-        """Copy-on-first-write backup for scalar-oracle fallback."""
-        if isinstance(arr, BatchBlockArray):
-            return  # fresh per pass, nothing to restore
-        key = id(arr)
-        if key not in self._backups:
-            self._backups[key] = (arr, arr.data.copy())
+            replica.write_back()
 
     def _flat_index(self, arr: DeviceArray, act_idx: np.ndarray,
                     active: np.ndarray, read: bool = False,
@@ -531,7 +525,7 @@ class BatchBlockCtx(BlockCtx):
     ) -> None:
         """One memory instruction over the whole batch.
 
-        Mirrors the scalar engine: one address-generation ALU charge, one
+        Mirrors the per-block loop: one address-generation ALU charge, one
         MEM charge, then per-warp coalescing / conflict / cache handling
         — here as a handful of numpy passes over the ``(R, 32)`` matrix
         of live-warp addresses.
@@ -593,7 +587,6 @@ class BatchBlockCtx(BlockCtx):
         idx, active, act_idx = self._active_addrs(arr, idx)
         self._account_mem(arr, idx, active, is_store=True)
         vals = self.const(values, dtype=arr.dtype)
-        self._backup(arr)
         # Flat indices are block-major, and numpy fancy assignment
         # applies in index order, so duplicate targets resolve exactly as
         # the sequential-block loop does (last block wins).
@@ -608,7 +601,6 @@ class BatchBlockCtx(BlockCtx):
         idx, active, act_idx = self._active_addrs(arr, idx)
         self._account_mem(arr, idx, active, is_store=True)
         vals = self.const(values, dtype=arr.dtype)
-        self._backup(arr)
         np.add.at(
             arr.data.reshape(-1),
             self._flat_index(arr, act_idx, active, read=True, write=True),
@@ -622,9 +614,9 @@ class BatchBlockCtx(BlockCtx):
         """Tree reduction per block; returns a ``(B, 1)`` column of totals.
 
         The column broadcasts through lane arithmetic and stores exactly
-        like the scalar engine's per-block host float; kernels that
-        instead *branch* on the total in Python raise on the ambiguous
-        array truth value, which triggers the scalar fallback.
+        like the per-block loop's host float.  A kernel that *branches*
+        on the total must do so through ``ctx.block_if``; a Python ``if``
+        raises on the ambiguous array truth value.
         """
         self.store(smem, self.tidx, values)
         stride = self.nthreads // 2
@@ -639,47 +631,41 @@ class BatchBlockCtx(BlockCtx):
         return smem.data.reshape(self.batch, -1)[:, :1].astype(np.float64)
 
 
-class BatchLaunch:
-    """Runs one kernel launch on the batched engine with rollback."""
-
-    def __init__(self, gpu, launch: LaunchTrace, grid: tuple, block: tuple):
-        self._gpu = gpu
-        self._launch = launch
-        self._grid = grid
-        self._block = block
-        self._buf = LaunchBuffer()
-        self._backups: Dict[int, Tuple[DeviceArray, np.ndarray]] = {}
-
-    def run(self, kernel: Callable, args: tuple, n_blocks: int) -> None:
-        threads = self._block[0] * self._block[1]
-        step = max(1, batch_lanes() // threads)
+def run_blocks(gpu, launch: LaunchTrace, kernel: Callable, grid: tuple,
+               block: tuple, args: tuple, n_blocks: int) -> None:
+    """Run a launch in passes of up to :data:`BATCH_LANES` lanes, commit
+    it to ``launch`` and log its route.  A kernel outside the DSL
+    contract raises ``RuntimeError``; a :class:`KernelFault` propagates
+    as is.  A failed launch commits nothing; device memory keeps the
+    writes made before the failure."""
+    buf = LaunchBuffer()
+    threads = block[0] * block[1]
+    step = max(1, BATCH_LANES // threads)
+    try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for lo in range(0, n_blocks, step):
                 n_batch = min(step, n_blocks - lo)
                 with telemetry.span(
                     "batch_pass", blocks=n_batch, lanes=n_batch * threads
                 ):
-                    self._gpu._allocator.reset(Space.SHARED)
-                    ctx = BatchBlockCtx(
-                        self._gpu, self._buf, self._backups,
-                        lo, n_batch, self._grid, self._block,
-                    )
+                    gpu._allocator.reset(Space.SHARED)
+                    ctx = BatchBlockCtx(gpu, buf, lo, n_batch, grid, block)
                     kernel(ctx, *args)
                     ctx.finish_pass()
-
-    def restore(self) -> None:
-        """Undo every device write of a failed batch attempt."""
-        for arr, copy in self._backups.values():
-            arr.data[...] = copy
-
-    def commit(self) -> None:
-        # Lane occupancy of the committed launch: issued warp slots vs
-        # active threads (perfect occupancy would make them equal x32).
-        telemetry.count(
-            "gpusim.batch.warp_insts", self._buf.issued_warp_insts
-        )
-        telemetry.count(
-            "gpusim.batch.active_lanes", self._buf.thread_insts
-        )
-        self._buf.commit(self._launch, self._gpu.tex_cache,
-                         self._gpu.const_cache)
+    except KernelFault:
+        raise
+    except (ValueError, TypeError, RuntimeError) as exc:
+        # What a contract break raises: numpy's truth-value or scalar
+        # conversion error on a (B, 1) value, or the engine's checks.
+        raise RuntimeError(
+            f"kernel {launch.kernel_name!r} failed on the batch engine: "
+            f"{type(exc).__name__}: {exc} (a kernel must {DSL_CONTRACT})"
+        ) from exc
+    # Lane occupancy of the committed launch: issued warp slots vs
+    # active threads (perfect occupancy would make them equal x32).
+    telemetry.count("gpusim.batch.warp_insts", buf.issued_warp_insts)
+    telemetry.count("gpusim.batch.active_lanes", buf.thread_insts)
+    buf.commit(launch, gpu.tex_cache, gpu.const_cache)
+    LAUNCH_ROUTES.append((launch.kernel_name, "batch", n_blocks))
+    telemetry.count("gpusim.batch.launches.batched")
+    telemetry.count("gpusim.batch.blocks.batched", n_blocks)

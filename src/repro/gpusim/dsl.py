@@ -345,3 +345,18 @@ class BlockCtx:
                 self.store(smem, self.tidx, a + b)
             stride //= 2
         return float(smem.data.flat[0])
+
+
+def run_blocks_scalar(gpu, launch: LaunchTrace, kernel: Callable,
+                      grid: tuple, block: tuple, args: tuple,
+                      n_blocks: int) -> None:
+    """The reference semantics of a launch: ``kernel(ctx, *args)`` once
+    per block, in block order.  The oracle of the batch engine
+    (:func:`repro.gpusim.batch.run_blocks`, same signature), which tests
+    swap in for ``GPU.launch``; it logs no route."""
+    # Masked-off lanes legitimately compute garbage (e.g. x/0); the DSL
+    # discards those values, so the warnings are suppressed.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for bidx in range(n_blocks):
+            gpu._allocator.reset(Space.SHARED)
+            kernel(BlockCtx(gpu, launch, bidx, grid, block), *args)

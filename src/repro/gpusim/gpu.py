@@ -13,35 +13,19 @@ being accumulated.  Kernels are launched with CUDA-like geometry::
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import telemetry
-from repro.common.config import config as runtime_config
+# Tests patch ``run_blocks`` here to swap in the per-block oracle.
+from repro.gpusim.batch import LAUNCH_ROUTES, run_blocks  # noqa: F401
 from repro.gpusim.config import GPUConfig
-from repro.gpusim.dsl import BlockCtx
 from repro.gpusim.isa import Space
 from repro.gpusim.memory import Allocator, CacheModel, DeviceArray
 from repro.gpusim.trace import KernelTrace
 
 Dim = Union[int, Tuple[int, int]]
-
-#: Route log: one entry per launch, ``(kernel_name, "batch" | "scalar",
-#: n_blocks)`` — which engine produced the launch's trace.  Importers
-#: (``repro.gpusim``, ``repro.gpusim.plans.PLAN_ROUTES``) hold this same
-#: list object, so clear it in place and never rebind it.
-LAUNCH_ROUTES: List[Tuple[str, str, int]] = []
-
-
-def batch_enabled() -> bool:
-    """Whether launches use the block-batched engine (``REPRO_GPU_BATCH``).
-
-    On by default; set ``REPRO_GPU_BATCH=off`` (or ``0``/``false``) —
-    or ``repro.common.config.override(gpu_batch=False)`` — to force
-    every launch onto the sequential per-block oracle.
-    """
-    return runtime_config().gpu_batch
 
 #: Functional texture/constant cache geometry.  Real GPUs have small
 #: per-SM read-only caches shared by that SM's resident CTAs; since our
@@ -70,10 +54,6 @@ class GPU:
         self.trace = KernelTrace(app_name)
         self.tex_cache = CacheModel(_TEX_CACHE_BYTES, assoc=4, hash_sets=True)
         self.const_cache = CacheModel(_CONST_CACHE_BYTES, assoc=4)
-        # Kernels outside the batch engine's contract; once a batch
-        # attempt fails the kernel goes straight to the scalar engine on
-        # later launches.
-        self._batch_fallbacks: set = set()
 
     # ------------------------------------------------------------------
     # Memory management
@@ -134,11 +114,11 @@ class GPU:
 
         ``grid`` and ``block`` may be ints or 2-tuples.  Semantically,
         blocks execute sequentially in lockstep (functionally safe for
-        race-free kernels) with a fresh shared-memory arena each; by
-        default the block-batched engine (:mod:`repro.gpusim.batch`)
-        performs that execution many blocks at a time with bit-identical
-        traces, falling back to the per-block loop for kernels outside
-        its contract (see that module).
+        race-free kernels) with a fresh shared-memory arena each; the
+        block-batched engine (:mod:`repro.gpusim.batch`) performs that
+        execution many blocks at a time with bit-identical traces.  A
+        kernel outside its DSL contract raises, naming the kernel and
+        the contract.
         """
         grid2 = _as_2d(grid)
         block2 = _as_2d(block)
@@ -156,56 +136,7 @@ class GPU:
             "kernel_launch", kernel=launch.kernel_name, blocks=n_blocks,
             threads=threads,
         ):
-            if batch_enabled() and kernel not in self._batch_fallbacks:
-                if self._launch_batched(
-                    kernel, launch, grid2, block2, args, n_blocks
-                ):
-                    return
-            LAUNCH_ROUTES.append((launch.kernel_name, "scalar", n_blocks))
-            telemetry.count("gpusim.batch.launches.scalar")
-            telemetry.count("gpusim.batch.blocks.scalar", n_blocks)
-            # Masked-off lanes legitimately compute garbage (e.g. x/0);
-            # the DSL discards those values, so the warnings are
-            # suppressed.
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                for bidx in range(n_blocks):
-                    self._allocator.reset(Space.SHARED)
-                    ctx = BlockCtx(self, launch, bidx, grid2, block2)
-                    kernel(ctx, *args)
-
-    def _launch_batched(
-        self,
-        kernel: Callable,
-        launch,
-        grid2: Tuple[int, int],
-        block2: Tuple[int, int],
-        args: tuple,
-        n_blocks: int,
-    ) -> bool:
-        """Try the block-batched engine; True on success.
-
-        On any failure — typically a kernel whose Python-level control
-        flow branches on a per-block value and trips over a ``(B, 1)``
-        array instead of using ``ctx.block_if`` — device memory is
-        restored from copy-on-first-write backups, the untouched launch
-        trace is handed back to the scalar loop, and the kernel is
-        remembered as scalar-only.
-        """
-        from repro.gpusim.batch import BatchLaunch
-
-        runner = BatchLaunch(self, launch, grid2, block2)
-        try:
-            runner.run(kernel, args, n_blocks)
-        except Exception:
-            runner.restore()
-            self._batch_fallbacks.add(kernel)
-            telemetry.count("gpusim.batch.launches.fallback")
-            return False
-        runner.commit()
-        LAUNCH_ROUTES.append((launch.kernel_name, "batch", n_blocks))
-        telemetry.count("gpusim.batch.launches.batched")
-        telemetry.count("gpusim.batch.blocks.batched", n_blocks)
-        return True
+            run_blocks(self, launch, kernel, grid2, block2, args, n_blocks)
 
     def reset_trace(self, app_name: str = "") -> KernelTrace:
         """Return the accumulated trace and start a fresh one."""

@@ -102,12 +102,7 @@ def coalesce(addrs: np.ndarray, segment: int = TRANSACTION_BYTES) -> np.ndarray:
     """
     if addrs.size == 0:
         return addrs
-    segments = np.unique(addrs // segment) * segment
-    if telemetry.active():
-        telemetry.count("gpusim.mem.coalesce.accesses", int(addrs.size))
-        telemetry.count("gpusim.mem.coalesce.transactions",
-                        int(segments.size))
-    return segments
+    return np.unique(addrs // segment) * segment
 
 
 def bank_conflict_degree(addrs: np.ndarray) -> int:
@@ -122,10 +117,7 @@ def bank_conflict_degree(addrs: np.ndarray) -> int:
         return 0
     words = np.unique(addrs // BANK_WORD_BYTES)
     banks = words % SHARED_BANKS
-    degree = int(np.bincount(banks, minlength=1).max())
-    if degree > 1 and telemetry.active():
-        telemetry.count("gpusim.mem.bank_replays", degree - 1)
-    return degree
+    return int(np.bincount(banks, minlength=1).max())
 
 
 class CacheModel:

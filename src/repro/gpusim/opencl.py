@@ -22,7 +22,7 @@ their CUDA-style twins:
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +59,9 @@ class WorkGroupCtx:
             return self._ctx.ty
         raise ValueError("only 1-D and 2-D NDRanges are supported")
 
-    def get_group_id(self, dim: int = 0) -> int:
+    def get_group_id(self, dim: int = 0) -> Union[int, np.ndarray]:
+        """The work-group id: a ``(B, 1)`` column on the batch engine (an
+        int on the per-block oracle), so a Python ``if`` on it raises."""
         if dim == 0:
             return self._ctx.bx
         if dim == 1:

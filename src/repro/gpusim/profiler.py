@@ -21,7 +21,7 @@ Compute keeps SM counters next to kernel durations:
   ``TimingModel.time`` because both share ``TimingModel._price``.
 
 Counters derive deterministically from ``(trace, config)``, so the
-scalar and block-batched execution engines — whose traces are already
+block-batched engine and its per-block oracle — whose traces are
 bit-identical — yield identical CounterSets, and the fidelity drift gate
 can pin them with the same tolerance machinery as figure data
 (``gpuprof/`` family in :mod:`repro.fidelity.drift`).
@@ -208,7 +208,7 @@ class CounterSet:
 
     def as_dict(self) -> Dict[str, object]:
         """Flat, deterministic view — the unit of drift-gating and of
-        the scalar-vs-batched identity test."""
+        the batch-vs-oracle identity test."""
         d = dataclasses.asdict(self)
         d["channel_transactions"] = list(self.channel_transactions)
         d["coalescing_efficiency"] = self.coalescing_efficiency
@@ -465,7 +465,7 @@ def profile_trace(trace: KernelTrace, model: "TimingModel") -> AppProfile:
     """Profile every launch of ``trace`` under ``model``'s config.
 
     Pure function of ``(trace, model.config)``: identical traces (the
-    scalar/batched engines guarantee this) give identical profiles.
+    batch engine and its oracle guarantee this) give identical profiles.
     """
     cfg = model.config
     balance = machine_balance(cfg)

@@ -69,10 +69,10 @@ def _git_sha() -> str:
 def config_fingerprint() -> str:
     """8-hex digest of the active RuntimeConfig.
 
-    Two sessions measured under different toggles (cache off, batch
-    engine off, different lane budgets) are different operating points;
-    the fingerprint lets the analysis layer keep them apart without
-    storing the whole config on every line.
+    Two sessions measured under different toggles (cache off, another
+    trace budget or chunk size) are different operating points; the
+    fingerprint lets the analysis layer keep them apart without storing
+    the whole config on every line.
     """
     from repro.common.config import config
 

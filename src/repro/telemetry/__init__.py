@@ -9,8 +9,8 @@ lets it measure *itself*.  Three primitives, one module-level registry:
   carry monotonic wall time, a stable id, and their parent's id.
 - **Counters / gauges** — named monotonic tallies (:func:`count`) and
   last-value measurements (:func:`gauge`), incremented by the hot
-  layers: artifact-cache hits, batch-vs-fallback kernel routing, LRU
-  evictions, coalescing tallies.
+  layers: artifact-cache hits, batched kernel launches and their lane
+  occupancy, LRU evictions, committed transactions.
 - **JSONL emission** — when a sink is attached, every span open/close
   becomes one JSON object per line (see :data:`SCHEMA_VERSION` and
   docs/TELEMETRY.md for the schema); counter totals are appended when

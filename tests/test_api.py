@@ -25,7 +25,7 @@ from repro.common.config import SimScale
 class TestExperimentRequest:
     def test_roundtrip_dict_and_json(self):
         req = ExperimentRequest("fig1", SimScale.TINY,
-                                config={"gpu_batch": False})
+                                config={"trace_chunk_rows": 4096})
         assert ExperimentRequest.from_dict(req.to_dict()) == req
         assert ExperimentRequest.from_json(req.to_json()) == req
 
@@ -35,11 +35,11 @@ class TestExperimentRequest:
     def test_content_key_is_stable_and_order_insensitive(self):
         a = ExperimentRequest(
             "fig1", SimScale.SMALL,
-            config={"gpu_batch": True, "gpu_batch_lanes": 64},
+            config={"trace_budget": 0, "trace_chunk_rows": 64},
         )
         b = ExperimentRequest(
             "fig1", SimScale.SMALL,
-            config={"gpu_batch_lanes": 64, "gpu_batch": True},
+            config={"trace_chunk_rows": 64, "trace_budget": 0},
         )
         assert a.content_key() == b.content_key()
         assert len(a.content_key()) == 16
@@ -50,7 +50,7 @@ class TestExperimentRequest:
             ExperimentRequest("fig1", SimScale.SMALL).content_key(),
             ExperimentRequest("fig2", SimScale.TINY).content_key(),
             ExperimentRequest(
-                "fig1", SimScale.TINY, config={"gpu_batch": False}
+                "fig1", SimScale.TINY, config={"trace_chunk_rows": 64}
             ).content_key(),
         }
         assert len(keys) == 4
@@ -58,20 +58,22 @@ class TestExperimentRequest:
     def test_rejects_unknown_override(self):
         with pytest.raises(ValueError, match="cache_dir"):
             ExperimentRequest("fig1", config={"cache_dir": "/elsewhere"})
-        # The error lists every key that may be overridden.
-        allowed = ["gpu_batch", "gpu_batch_lanes", "trace_budget",
-                   "trace_chunk_rows"]
-        with pytest.raises(ValueError) as err:
-            ExperimentRequest("fig1", config={"gpu_plan": False})
-        assert str(err.value) == (
-            f"config override 'gpu_plan' is not allowed; overridable: {allowed}"
-        )
+        # The error lists every key that may be overridden; retired
+        # engine knobs get it too.
+        allowed = ["trace_budget", "trace_chunk_rows"]
+        for retired in ("gpu_plan", "gpu_batch", "gpu_batch_lanes"):
+            with pytest.raises(ValueError) as err:
+                ExperimentRequest("fig1", config={retired: False})
+            assert str(err.value) == (
+                f"config override {retired!r} is not allowed; "
+                f"overridable: {allowed}"
+            )
 
     def test_rejects_badly_typed_override(self):
-        with pytest.raises(ValueError, match="gpu_batch"):
-            ExperimentRequest("fig1", config={"gpu_batch": "yes"})
-        with pytest.raises(ValueError, match="gpu_batch_lanes"):
-            ExperimentRequest("fig1", config={"gpu_batch_lanes": True})
+        with pytest.raises(ValueError, match="trace_budget"):
+            ExperimentRequest("fig1", config={"trace_budget": "yes"})
+        with pytest.raises(ValueError, match="trace_chunk_rows"):
+            ExperimentRequest("fig1", config={"trace_chunk_rows": True})
 
     def test_rejects_wrong_schema_version(self):
         body = ExperimentRequest("fig1").to_dict()
@@ -96,8 +98,8 @@ class TestExperimentRequest:
             )
 
     def test_validate_overrides_normalizes_numbers(self):
-        out = validate_overrides({"gpu_batch_lanes": 64.0})
-        assert out == {"gpu_batch_lanes": 64}
+        out = validate_overrides({"trace_chunk_rows": 64.0})
+        assert out == {"trace_chunk_rows": 64}
         assert set(OVERRIDABLE_CONFIG) >= set(out)
 
 
@@ -169,7 +171,7 @@ class TestRunExperimentRequestForm:
         seen = {}
 
         def probe(scale):
-            seen["lanes"] = config().gpu_batch_lanes
+            seen["rows"] = config().trace_chunk_rows
             return ExperimentResult("table1", [], {})
 
         from repro import experiments as exp_mod
@@ -180,12 +182,12 @@ class TestRunExperimentRequestForm:
             exp_mod.run_experiment(
                 ExperimentRequest(
                     "table1", SimScale.TINY,
-                    config={"gpu_batch_lanes": 1234},
+                    config={"trace_chunk_rows": 1234},
                 )
             )
         finally:
             exp_mod.get_driver = real
-        assert seen["lanes"] == 1234
+        assert seen["rows"] == 1234
 
     def test_registry_record_carries_request_encoding(self, tmp_path):
         from repro.common.config import override

@@ -1,16 +1,17 @@
-"""Batched-vs-scalar equivalence for the block-batched SIMT engine.
+"""Batch-vs-oracle equivalence for the block-batched SIMT engine.
 
-The engine in :mod:`repro.gpusim.batch` must be *bit-identical* to the
-sequential per-block oracle: every trace statistic (per-category counts,
+``GPU.launch`` runs every launch on :mod:`repro.gpusim.batch`, which must
+be *bit-identical* to the per-block oracle
+(:func:`repro.gpusim.dsl.run_blocks_scalar`, swapped in through
+:mod:`tests.gpu_oracle`): every trace statistic (per-category counts,
 occupancy histograms, transaction address/block/store streams, shared
 replays, const/tex hit counts) and all device memory must match exactly,
 on every Rodinia GPU workload, on both Parsec GPU ports, and on
-adversarial synthetic divergence patterns.  Every production kernel
-batches: ``KNOWN_FALLBACKS`` is empty.  Kernels outside the DSL contract
-(Python branches on per-block arrays, ``ctx.shared`` inside
-``ctx.block_if``, a block reading LOCAL scratch an earlier block wrote)
-must fall back to the scalar engine — transparently and with
-rolled-back device memory.
+adversarial synthetic divergence patterns.  Every launch logs the
+``"batch"`` route; the oracle logs none.  Kernels outside the DSL
+contract (Python branches on per-block arrays, ``ctx.shared`` inside
+``ctx.block_if``, a block reading LOCAL scratch an earlier block of its
+pass wrote) raise from ``GPU.launch``, naming the kernel.
 """
 
 import numpy as np
@@ -18,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import telemetry
-from repro.common.config import SimScale, override
+from repro.common.config import SimScale
 from repro.gpusim import GPU, LAUNCH_ROUTES, Space
+from repro.gpusim.batch import DSL_CONTRACT
 from repro.workloads import base as wl
 from repro.workloads.parsec import blackscholes, raytrace
+from tests.gpu_oracle import batch_lanes, scalar_oracle
 
 wl.load_all()
 GPU_WORKLOADS = sorted(n for n, d in wl.REGISTRY.items() if d.has_gpu)
@@ -32,11 +34,6 @@ VERSIONED = sorted(
     if d.gpu_versions
     for v in d.gpu_versions
 )
-
-#: Production kernels allowed to fall back to the scalar engine: none.
-#: Per-block host values are ``(B, 1)`` columns, block-level branches
-#: use ``ctx.block_if``, and LOCAL scratch has per-block replicas.
-KNOWN_FALLBACKS: set = set()
 
 #: The experimental Parsec GPU ports (Section V-B); not in the registry.
 PARSEC_PORTS = {
@@ -81,60 +78,75 @@ def _flatten_result(result):
     return [] if result is None else [np.asarray(result)]
 
 
-def _run_workload(name, version, scale, batch, monkeypatch):
-    monkeypatch.setenv("REPRO_GPU_BATCH", "on" if batch else "off")
+def batch_and_oracle(run):
+    """``run()`` on the batch engine, then on the per-block oracle.
+
+    Returns ``(batched, oracle, routes)``: both results and the route
+    log of the batched run.  The oracle logs no route, which shows that
+    the swap took effect.
+    """
+    del LAUNCH_ROUTES[:]
+    batched = run()
+    routes = list(LAUNCH_ROUTES)
+    del LAUNCH_ROUTES[:]
+    with scalar_oracle():
+        oracle = run()
+    assert LAUNCH_ROUTES == []
+    return batched, oracle, routes
+
+
+def _workload(name, version, scale):
+    """A zero-argument run of one workload: (trace, flattened result)."""
     defn = wl.get(name)
     fn = defn.gpu_versions[version] if version is not None else defn.gpu_fn
-    gpu = GPU(app_name=name)
-    result = fn(gpu, scale)
-    return gpu.trace, _flatten_result(result)
+
+    def run():
+        gpu = GPU(app_name=name)
+        result = fn(gpu, scale)
+        return gpu.trace, _flatten_result(result)
+
+    return run
+
+
+def _assert_runs_equal(batched, oracle, label):
+    (tb, rb), (ts, rs) = batched, oracle
+    assert_trace_equal(tb, ts, label)
+    assert len(rb) == len(rs), label
+    for u, v in zip(rb, rs):
+        np.testing.assert_array_equal(u, v, err_msg=label)
 
 
 class TestRodiniaEquivalence:
     @pytest.mark.parametrize("name", GPU_WORKLOADS)
-    def test_small_scale_bit_identical(self, name, monkeypatch):
-        del LAUNCH_ROUTES[:]
-        tb, rb = _run_workload(name, None, SimScale.SMALL, True, monkeypatch)
-        routed = list(LAUNCH_ROUTES)
-        del LAUNCH_ROUTES[:]
-        ts, rs = _run_workload(name, None, SimScale.SMALL, False, monkeypatch)
-        assert {how for _, how, _ in LAUNCH_ROUTES} == {"scalar"}, name
-        assert_trace_equal(tb, ts, name)
-        assert len(rb) == len(rs)
-        for u, v in zip(rb, rs):
-            np.testing.assert_array_equal(u, v, err_msg=name)
-        # The batched engine must actually engage, and only the known
-        # per-block-scalar kernels may fall back.
-        assert routed, name
-        fallbacks = {k for k, how, _ in routed if how == "scalar"}
-        assert fallbacks <= KNOWN_FALLBACKS, name
-        batched = [e for e in routed if e[1] == "batch"]
-        assert batched or {k for k, _, _ in routed} <= KNOWN_FALLBACKS, name
+    def test_small_scale_bit_identical(self, name):
+        batched, oracle, routes = batch_and_oracle(
+            _workload(name, None, SimScale.SMALL)
+        )
+        _assert_runs_equal(batched, oracle, name)
+        assert routes, name
+        assert {how for _, how, _ in routes} == {"batch"}, name
 
     @pytest.mark.parametrize("name,version", VERSIONED)
-    def test_versioned_variants_bit_identical(self, name, version, monkeypatch):
-        tb, rb = _run_workload(name, version, SimScale.TINY, True, monkeypatch)
-        ts, rs = _run_workload(name, version, SimScale.TINY, False, monkeypatch)
-        assert_trace_equal(tb, ts, f"{name}:v{version}")
-        for u, v in zip(rb, rs):
-            np.testing.assert_array_equal(u, v, err_msg=f"{name}:v{version}")
+    def test_versioned_variants_bit_identical(self, name, version):
+        batched, oracle, _ = batch_and_oracle(
+            _workload(name, version, SimScale.TINY)
+        )
+        _assert_runs_equal(batched, oracle, f"{name}:v{version}")
 
 
 class TestParsecPortEquivalence:
     @pytest.mark.parametrize("scale", [SimScale.TINY, SimScale.SMALL])
     @pytest.mark.parametrize("name", sorted(PARSEC_PORTS))
     def test_port_bit_identical_and_batched(self, name, scale):
-        runs = {}
-        for batch in (True, False):
-            del LAUNCH_ROUTES[:]
-            with override(gpu_batch=batch):
-                gpu = GPU(app_name=name)
-                result = PARSEC_PORTS[name](gpu, scale)
-            runs[batch] = (gpu.trace, np.asarray(result), list(LAUNCH_ROUTES))
-        assert_trace_equal(runs[True][0], runs[False][0], name)
-        np.testing.assert_array_equal(runs[True][1], runs[False][1])
-        assert runs[True][2], name
-        assert {how for _, how, _ in runs[True][2]} == {"batch"}, name
+        def run():
+            gpu = GPU(app_name=name)
+            result = PARSEC_PORTS[name](gpu, scale)
+            return gpu.trace, [np.asarray(result)]
+
+        batched, oracle, routes = batch_and_oracle(run)
+        _assert_runs_equal(batched, oracle, name)
+        assert routes, name
+        assert {how for _, how, _ in routes} == {"batch"}, name
 
 
 def _adversarial_kernel(n, trip_mod, stride, thresh, csize, tsize):
@@ -191,25 +203,19 @@ class TestAdversarialDivergence:
         chost = rng.standard_normal(csize)
         thost = rng.standard_normal(tsize)
         kernel = _adversarial_kernel(n, trip_mod, stride, thresh, csize, tsize)
-        import os
 
-        results = {}
-        for mode in ("on", "off"):
-            os.environ["REPRO_GPU_BATCH"] = mode
-            try:
-                gpu = GPU()
-                gin = gpu.to_device(host)
-                gout = gpu.alloc(n, dtype=np.float64)
-                cmem = gpu.to_const(chost)
-                tmem = gpu.to_texture(thost)
-                gpu.launch(kernel, blocks, threads, gin, gout, cmem, tmem)
-                results[mode] = (gpu.trace, gout.to_host())
-            finally:
-                os.environ.pop("REPRO_GPU_BATCH", None)
-        tb, ob = results["on"]
-        ts, os_ = results["off"]
-        assert_trace_equal(tb, ts, "synthetic")
-        np.testing.assert_array_equal(ob, os_)
+        def run():
+            gpu = GPU()
+            gin = gpu.to_device(host)
+            gout = gpu.alloc(n, dtype=np.float64)
+            cmem = gpu.to_const(chost)
+            tmem = gpu.to_texture(thost)
+            gpu.launch(kernel, blocks, threads, gin, gout, cmem, tmem)
+            return gpu.trace, [gout.to_host()]
+
+        batched, oracle, routes = batch_and_oracle(run)
+        assert [e[1] for e in routes] == ["batch"]
+        _assert_runs_equal(batched, oracle, "synthetic")
 
 
 def _predicated_kernel(n, chunk, n_strips, trip_mod, thresh, csize):
@@ -273,41 +279,65 @@ class TestBlockPredicates:
         chost = rng.standard_normal(csize)
         kernel = _predicated_kernel(n, chunk, n_strips, trip_mod, thresh,
                                     csize)
-        fields = {}
-        if blocks_per_pass:
-            fields["gpu_batch_lanes"] = blocks_per_pass * threads
-        results = {}
-        for batch in (True, False):
-            del LAUNCH_ROUTES[:]
-            with override(gpu_batch=batch, **fields):
-                gpu = GPU()
-                gin = gpu.to_device(host)
-                gout = gpu.alloc(n, dtype=np.float64)
-                cmem = gpu.to_const(chost)
-                gpu.launch(kernel, blocks, threads, gin, gout, cmem)
-            results[batch] = (gpu.trace, gout.to_host(), list(LAUNCH_ROUTES))
-        assert [e[1] for e in results[True][2]] == ["batch"]
-        assert_trace_equal(results[True][0], results[False][0], "predicated")
-        np.testing.assert_array_equal(results[True][1], results[False][1])
+
+        def run():
+            gpu = GPU()
+            gin = gpu.to_device(host)
+            gout = gpu.alloc(n, dtype=np.float64)
+            cmem = gpu.to_const(chost)
+            gpu.launch(kernel, blocks, threads, gin, gout, cmem)
+            return gpu.trace, [gout.to_host()]
+
+        with batch_lanes(blocks_per_pass and blocks_per_pass * threads):
+            batched, oracle, routes = batch_and_oracle(run)
+        assert [e[1] for e in routes] == ["batch"]
+        _assert_runs_equal(batched, oracle, "predicated")
+
+
+def _host_branch(ctx, out):
+    ctx.store(out, ctx.gtid, ctx.gtid + 1)
+    if ctx.bidx % 2 == 1:  # array truth value on the batch engine
+        ctx.store(out, ctx.gtid, -ctx.gtid)
+
+
+def _shared_in_block_if(ctx, out):
+    ctx.store(out, ctx.gtid, ctx.gtid + 1)
+    for _ in ctx.block_if(ctx.bidx % 2 == 1):
+        sm = ctx.shared((ctx.nthreads,), np.int64)
+        ctx.store(sm, ctx.tidx, ctx.gtid)
+        ctx.sync()
+        ctx.store(out, ctx.gtid, ctx.load(sm, ctx.nthreads - 1 - ctx.tidx))
+
+
+def _local_read_of_earlier_write(ctx, scratch, out):
+    ctx.store(out, ctx.gtid, ctx.load(scratch, ctx.tidx))
+    ctx.store(scratch, ctx.tidx, ctx.gtid)
+
+
+def _out_only(gpu):
+    return (gpu.alloc(128, dtype=np.int64),)
+
+
+def _scratch_and_out(gpu):
+    scratch = gpu.to_device(np.full(32, -1, dtype=np.int64), space=Space.LOCAL)
+    return scratch, gpu.alloc(128, dtype=np.int64)
+
+
+#: One kernel per rule of the DSL contract: (kernel, setup, what the
+#: error says about the broken rule).
+CONTRACT_BREAKS = {
+    "branch": (_host_branch, _out_only, "truth value"),
+    "shared": (_shared_in_block_if, _out_only,
+               "ctx.shared inside ctx.block_if"),
+    "local": (_local_read_of_earlier_write, _scratch_and_out,
+              "earlier block of its pass wrote"),
+}
 
 
 class TestEngineMechanics:
-    def test_toggle_off_disables_batching(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GPU_BATCH", "off")
-        del LAUNCH_ROUTES[:]
-        gpu = GPU()
-        out = gpu.alloc(256, dtype=np.int64)
-
-        def k(ctx, out):
-            ctx.store(out, ctx.gtid, ctx.gtid)
-
-        gpu.launch(k, 4, 64, out)
-        assert LAUNCH_ROUTES == [("k", "scalar", 4)]
-        np.testing.assert_array_equal(out.to_host(), np.arange(256))
-
-    def test_chunked_batches_bit_identical(self, monkeypatch):
+    def test_chunked_batches_bit_identical(self):
         """A tiny lane budget forces many chunks per launch; the deferred
-        commit must still reassemble the exact scalar stream."""
+        commit must still reassemble the exact per-block stream."""
 
         def k(ctx, a, out):
             i = ctx.gtid
@@ -315,63 +345,54 @@ class TestEngineMechanics:
                 ctx.store(out, i, ctx.load(a, i) * 2.0)
 
         host = np.arange(512, dtype=np.float64)
-        runs = {}
-        for mode, lanes in (("on", "64"), ("off", None)):
-            monkeypatch.setenv("REPRO_GPU_BATCH", mode)
-            if lanes:
-                monkeypatch.setenv("REPRO_GPU_BATCH_LANES", lanes)
-            gpu = GPU()
-            a = gpu.to_device(host)
-            out = gpu.alloc(512, dtype=np.float64)
-            gpu.launch(k, 8, 64, a, out)
-            runs[mode] = (gpu.trace, out.to_host())
-            monkeypatch.delenv("REPRO_GPU_BATCH_LANES", raising=False)
-        assert_trace_equal(runs["on"][0], runs["off"][0], "chunked")
-        np.testing.assert_array_equal(runs["on"][1], runs["off"][1])
 
-    def test_per_block_host_scalar_falls_back_with_rollback(self, monkeypatch):
-        """A kernel that stores *before* consuming a per-block scalar:
-        the batch attempt writes device memory, fails, and must leave no
-        trace of the attempt (memory restored, stats from scalar only)."""
+        def setup(gpu):
+            return gpu.to_device(host), gpu.alloc(512, dtype=np.float64)
 
-        def k(ctx, out):
-            ctx.store(out, ctx.gtid, ctx.gtid + 1)
-            if ctx.bidx % 2 == 1:  # array truth value in batch mode
-                ctx.store(out, ctx.gtid, -ctx.gtid)
+        arrays, routes = self._run_both(k, setup, 8, 64, lanes=64)
+        assert routes == [("k", "batch", 8)]
+        np.testing.assert_array_equal(arrays[1][::2], host[::2] * 2.0)
 
-        results = {}
-        for mode in ("on", "off"):
-            monkeypatch.setenv("REPRO_GPU_BATCH", mode)
-            del LAUNCH_ROUTES[:]
-            gpu = GPU()
-            out = gpu.alloc(128, dtype=np.int64)
-            gpu.launch(k, 2, 64, out)
-            results[mode] = (gpu.trace, out.to_host(), list(LAUNCH_ROUTES))
-        assert_trace_equal(results["on"][0], results["off"][0], "fallback")
-        np.testing.assert_array_equal(results["on"][1], results["off"][1])
-        assert results["on"][2] == [("k", "scalar", 2)]
-        assert results["off"][2] == [("k", "scalar", 2)]
+    @pytest.mark.parametrize("case", sorted(CONTRACT_BREAKS))
+    def test_contract_violation_raises(self, case):
+        """A kernel outside the DSL contract raises from ``GPU.launch``,
+        naming the kernel, the broken rule and the contract.  Nothing is
+        committed: the launch trace stays empty and no route is logged.
+        The per-block oracle runs the same kernel."""
+        kernel, setup, rule = CONTRACT_BREAKS[case]
+        del LAUNCH_ROUTES[:]
+        gpu = GPU()
+        arrays = setup(gpu)
+        with pytest.raises(RuntimeError) as err:
+            gpu.launch(kernel, 4, 32, *arrays)
+        message = str(err.value)
+        assert f"kernel {kernel.__name__!r}" in message
+        assert rule in message
+        assert DSL_CONTRACT in message
+        launch = gpu.trace.launches[-1]
+        assert launch.issued_warp_insts == 0
+        assert launch.transactions()[0].size == 0
+        assert LAUNCH_ROUTES == []
+        with scalar_oracle():
+            oracle = GPU()
+            oracle.launch(kernel, 4, 32, *setup(oracle))
+        assert oracle.trace.launches[-1].issued_warp_insts > 0
 
     @staticmethod
     def _run_both(kernel, setup, grid, block, lanes=None):
-        """One launch, batched and scalar: {batch: (trace, arrays, routes)}."""
-        runs = {}
-        for batch in (True, False):
-            del LAUNCH_ROUTES[:]
-            fields = {"gpu_batch": batch}
-            if lanes is not None:
-                fields["gpu_batch_lanes"] = lanes
-            with override(**fields):
-                gpu = GPU()
-                arrays = setup(gpu)
-                gpu.launch(kernel, grid, block, *arrays)
-            runs[batch] = (
-                gpu.trace, [a.to_host() for a in arrays], list(LAUNCH_ROUTES)
-            )
-        assert_trace_equal(runs[True][0], runs[False][0], "both")
-        for u, v in zip(runs[True][1], runs[False][1]):
-            np.testing.assert_array_equal(u, v)
-        return runs
+        """One launch, batched and on the oracle; asserts they are equal
+        and returns the batched arrays and routes."""
+
+        def run():
+            gpu = GPU()
+            arrays = setup(gpu)
+            gpu.launch(kernel, grid, block, *arrays)
+            return gpu.trace, [a.to_host() for a in arrays]
+
+        with batch_lanes(lanes):
+            batched, oracle, routes = batch_and_oracle(run)
+        _assert_runs_equal(batched, oracle, "both")
+        return batched[1], routes
 
     @pytest.mark.parametrize("lanes", [None, 64])
     def test_local_scratch_batches(self, lanes):
@@ -379,22 +400,18 @@ class TestEngineMechanics:
         every block in turn (the raytracing port's traversal stack works
         this way).  Each block of a batch gets its own replica; after the
         launch every element holds the last writing block's value, as
-        after the scalar loop, also when the grid spans several passes."""
+        after the per-block loop, also when the grid spans several
+        passes."""
 
         def k(ctx, scratch, out):
             with ctx.masked((ctx.tidx + ctx.bidx) % 3 == 0):
                 ctx.store(scratch, ctx.tidx, ctx.gtid)
                 ctx.store(out, ctx.gtid, ctx.load(scratch, ctx.tidx) * 2)
 
-        def setup(gpu):
-            scratch = gpu.to_device(
-                np.full(32, -1, dtype=np.int64), space=Space.LOCAL
-            )
-            return scratch, gpu.alloc(128, dtype=np.int64)
-
-        runs = self._run_both(k, setup, 4, 32, lanes)
-        scratch, out = runs[True][1]
-        assert [e[1] for e in runs[True][2]] == ["batch"]
+        (scratch, out), routes = self._run_both(
+            k, _scratch_and_out, 4, 32, lanes
+        )
+        assert [e[1] for e in routes] == ["batch"]
         live = (np.arange(128) % 32 + np.arange(128) // 32) % 3 == 0
         np.testing.assert_array_equal(out[live], np.arange(128)[live] * 2)
         last = {t: max(b for b in range(4) if (t + b) % 3 == 0)
@@ -403,31 +420,24 @@ class TestEngineMechanics:
             scratch, [last[t] * 32 + t for t in range(32)]
         )
 
-    @pytest.mark.parametrize("lanes,route", [(None, "scalar"), (32, "batch")])
+    @pytest.mark.parametrize("lanes,route", [(32, "batch")])
     def test_local_read_of_earlier_block_write(self, lanes, route):
         """A block that reads LOCAL scratch before writing it sees the
-        previous block's values on the scalar loop.  Replicas cannot show
-        that within one pass, so such a launch falls back; with one block
-        per pass the write-back carries the values and it batches."""
-
-        def k(ctx, scratch, out):
-            ctx.store(out, ctx.gtid, ctx.load(scratch, ctx.tidx))
-            ctx.store(scratch, ctx.tidx, ctx.gtid)
-
-        def setup(gpu):
-            scratch = gpu.to_device(
-                np.full(32, -1, dtype=np.int64), space=Space.LOCAL
-            )
-            return scratch, gpu.alloc(128, dtype=np.int64)
-
-        runs = self._run_both(k, setup, 4, 32, lanes)
-        assert [e[1] for e in runs[True][2]] == [route]
+        previous block's values on the per-block loop.  Replicas cannot
+        show that within one pass (``test_contract_violation_raises``),
+        but with one block per pass the write-back carries the values,
+        so the launch batches and equals the oracle."""
+        arrays, routes = self._run_both(
+            _local_read_of_earlier_write, _scratch_and_out, 4, 32, lanes
+        )
+        assert [e[1] for e in routes] == [route]
         expect = np.concatenate([np.full(32, -1), np.arange(96)])
-        np.testing.assert_array_equal(runs[True][1][1], expect)
+        np.testing.assert_array_equal(arrays[1], expect)
 
     def test_block_if_equals_host_if(self):
-        """``ctx.block_if`` charges nothing: on the scalar engine it traces
-        exactly like a plain Python ``if``; batched, it still does."""
+        """``ctx.block_if`` charges nothing: on the per-block oracle it
+        traces exactly like a plain Python ``if``; batched, it still
+        does."""
 
         def host_if(ctx, out):
             ctx.alu(1)
@@ -441,66 +451,21 @@ class TestEngineMechanics:
                 ctx.sync()
                 ctx.store(out, ctx.gtid, ctx.gtid)
 
-        traces = {}
-        for kernel, batch in ((host_if, False), (block_if, False),
-                              (block_if, True)):
-            with override(gpu_batch=batch):
-                gpu = GPU()
-                out = gpu.alloc(7 * 40, dtype=np.int64)
-                gpu.launch(kernel, 7, 40, out, name="k")
-            traces[kernel.__name__, batch] = (gpu.trace, out.to_host())
-        ref_trace, ref_out = traces["host_if", False]
-        for key in (("block_if", False), ("block_if", True)):
-            assert_trace_equal(traces[key][0], ref_trace, str(key))
-            np.testing.assert_array_equal(traces[key][1], ref_out)
+        def run(kernel):
+            gpu = GPU()
+            out = gpu.alloc(7 * 40, dtype=np.int64)
+            gpu.launch(kernel, 7, 40, out, name="k")
+            return gpu.trace, out.to_host()
 
-    def test_shared_inside_block_if_falls_back(self):
-        """Allocating shared memory in a predicated body would diverge the
-        per-block allocation order; the batch attempt raises, memory is
-        rolled back, and the scalar loop produces the trace."""
+        with scalar_oracle():
+            ref_trace, ref_out = run(host_if)
+            runs = {"oracle": run(block_if)}
+        runs["batch"] = run(block_if)
+        for label, (trace, out) in runs.items():
+            assert_trace_equal(trace, ref_trace, label)
+            np.testing.assert_array_equal(out, ref_out)
 
-        def k(ctx, out):
-            ctx.store(out, ctx.gtid, ctx.gtid + 1)
-            for _ in ctx.block_if(ctx.bidx % 2 == 1):
-                sm = ctx.shared((ctx.nthreads,), np.int64)
-                ctx.store(sm, ctx.tidx, ctx.gtid)
-                ctx.sync()
-                mirrored = ctx.load(sm, ctx.nthreads - 1 - ctx.tidx)
-                ctx.store(out, ctx.gtid, mirrored)
-
-        runs = self._run_both(
-            k, lambda gpu: (gpu.alloc(96, dtype=np.int64),), 3, 32
-        )
-        assert [e[1] for e in runs[True][2]] == ["scalar"]
-        out = runs[True][1][0]
-        np.testing.assert_array_equal(out[:32], np.arange(1, 33))
-        np.testing.assert_array_equal(out[32:64], np.arange(63, 31, -1))
-
-    def test_fallback_memoized_per_kernel(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GPU_BATCH", "on")
-
-        def k(ctx, out):
-            if ctx.bidx > 0:
-                ctx.store(out, ctx.gtid, 1)
-
-        gpu = GPU()
-        out = gpu.alloc(64, dtype=np.int64)
-        del LAUNCH_ROUTES[:]
-        telemetry.start()
-        try:
-            gpu.launch(k, 2, 32, out)
-            gpu.launch(k, 2, 32, out)
-            counters = telemetry.counters()
-        finally:
-            telemetry.stop()
-        # Both launches run on the scalar engine, but only the first
-        # attempts (and rolls back) a batch; the second goes straight
-        # to the scalar engine.
-        assert [e[1] for e in LAUNCH_ROUTES] == ["scalar", "scalar"]
-        assert counters["gpusim.batch.launches.fallback"] == 1
-
-    def test_probe_records_engagement(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GPU_BATCH", "on")
+    def test_probe_records_engagement(self):
         del LAUNCH_ROUTES[:]
         gpu = GPU()
         out = gpu.alloc(256, dtype=np.int64)

@@ -55,13 +55,21 @@ class TestNDRange:
         out = dev.alloc(4, dtype=np.float64)
 
         def block_sum(cl, out):
-            lmem = cl.local_array(cl.get_local_size(0), dtype=np.float64)
+            # Tree reduction in __local memory; work-item 0 writes the
+            # group's sum to out[get_group_id(0)].
+            size = cl.get_local_size(0)
+            lmem = cl.local_array(size, dtype=np.float64)
             lid = cl.get_local_id(0)
             cl.write(lmem, lid, cl.get_global_id(0).astype(np.float64))
-            cl.barrier()
+            stride = size // 2
+            while stride:
+                cl.barrier()
+                with cl.mask(lid < stride):
+                    cl.write(lmem, lid,
+                             cl.read(lmem, lid) + cl.read(lmem, lid + stride))
+                stride //= 2
             with cl.mask(lid == 0):
-                total = lmem.data.sum()
-                cl.write(out, np.full_like(lid, cl.get_group_id(0)), total)
+                cl.write(out, cl.get_group_id(0), cl.read(lmem, 0))
 
         dev.enqueue_nd_range(block_sum, global_size=128, local_size=32,
                              args=(out,))

@@ -5,7 +5,7 @@ components sum *bit-exactly* to ``LaunchTiming.body_cycles``, and
 ``cycles`` is exactly ``launch_overhead + body`` in the model's own
 float order — across every Rodinia GPU workload at TINY, under both the
 cacheless and the Fermi cache-ladder configurations, and identically on
-the scalar and block-batched execution engines.  Around that core:
+the block-batched engine and its per-block oracle.  Around that core:
 tie-break determinism of the ``bound`` classification, CounterSet
 invariants, rollups/hot-kernel tables, the ``gpuprof`` drift family,
 and the ``runner --gpu-profile`` CLI surface.
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.config import SimScale, override
+from repro.common.config import SimScale
 from repro.fidelity.drift import check_drift, tolerance_for
 from repro.gpusim import GPU, GPUConfig, TimingModel
 from repro.gpusim.profiler import (
@@ -31,6 +31,7 @@ from repro.gpusim.profiler import (
 from repro.gpusim.timing import TimingResult, classify_bound
 from repro.gpusim.trace import KernelTrace
 from repro.workloads import base as wl
+from tests.gpu_oracle import scalar_oracle
 
 wl.load_all()
 GPU_WORKLOADS = sorted(n for n, d in wl.REGISTRY.items() if d.has_gpu)
@@ -167,12 +168,11 @@ class TestWorkloadExactness:
         model = TimingModel(GPUConfig.gtx480_shared_bias())
         for name in GPU_WORKLOADS:
             defn = wl.get(name)
-            with override(gpu_batch=False):
+            with scalar_oracle():
                 scalar = GPU(app_name=name)
                 defn.gpu_fn(scalar, SimScale.TINY)
-            with override(gpu_batch=True):
-                batched = GPU(app_name=name)
-                defn.gpu_fn(batched, SimScale.TINY)
+            batched = GPU(app_name=name)
+            defn.gpu_fn(batched, SimScale.TINY)
             a = model.profile(scalar.trace)
             b = model.profile(batched.trace)
             assert len(a.counters) == len(b.counters), name

@@ -133,7 +133,7 @@ class TestStore:
         from repro.perfwatch.store import config_fingerprint
 
         base = config_fingerprint()
-        with override(gpu_batch=False):
+        with override(cache=False):
             assert config_fingerprint() != base
         assert config_fingerprint() == base
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.common.config import (
-    DEFAULT_BATCH_LANES,
+    DEFAULT_TRACE_CHUNK_ROWS,
     RuntimeConfig,
     SimScale,
     config,
@@ -306,22 +306,9 @@ class TestCounterCorrectness:
         telemetry.stop()
         assert c["gpusim.batch.launches.batched"] == 1
         assert c["gpusim.batch.blocks.batched"] == 8
-        assert "gpusim.batch.launches.scalar" not in c
         launch = gpu.trace.launches[0]
         assert c["gpusim.batch.warp_insts"] == launch.issued_warp_insts
         assert c["gpusim.batch.active_lanes"] == launch.thread_insts
-
-    def test_scalar_fallback_counted(self):
-        telemetry.start()
-        gpu = GPU()
-        out = gpu.alloc(64, dtype=np.float32)
-        with override(gpu_batch=False):
-            gpu.launch(_fill_kernel, 4, 16, out)
-        c = telemetry.counters()
-        telemetry.stop()
-        assert c["gpusim.batch.launches.scalar"] == 1
-        assert c["gpusim.batch.blocks.scalar"] == 4
-        assert "gpusim.batch.launches.batched" not in c
 
     def test_artifact_cache_exact_hit_count(self, tmp_path):
         """A warm second run scores exactly one disk hit, zero executes."""
@@ -354,44 +341,37 @@ class TestCounterCorrectness:
 # ----------------------------------------------------------------------
 class TestRuntimeConfig:
     def test_env_fallback(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GPU_BATCH", raising=False)
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
         monkeypatch.delenv("REPRO_TRACE", raising=False)
         cfg = config()
-        assert cfg.gpu_batch is True
+        assert cfg.cache is True
         assert cfg.trace is None
-        monkeypatch.setenv("REPRO_GPU_BATCH", "off")
+        monkeypatch.setenv("REPRO_CACHE", "off")
         monkeypatch.setenv("REPRO_TRACE", "out.jsonl")
         cfg = config()
-        assert cfg.gpu_batch is False
+        assert cfg.cache is False
         assert cfg.trace == "out.jsonl"
-
-    def test_lanes_parse_matches_legacy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GPU_BATCH_LANES", "junk")
-        assert config().gpu_batch_lanes == DEFAULT_BATCH_LANES
-        monkeypatch.setenv("REPRO_GPU_BATCH_LANES", "0")
-        assert config().gpu_batch_lanes == 1  # clamped, as before
-        monkeypatch.setenv("REPRO_GPU_BATCH_LANES", "4096")
-        assert config().gpu_batch_lanes == 4096
 
     def test_override_nests_and_restores(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.delenv("REPRO_TRACE_CHUNK", raising=False)
         with override(cache=False):
             assert config().cache is False
-            with override(gpu_batch=False):
+            with override(trace_chunk_rows=4096):
                 assert config().cache is False  # inherited from outer
-                assert config().gpu_batch is False
-            assert config().gpu_batch is True
+                assert config().trace_chunk_rows == 4096
+            assert config().trace_chunk_rows == DEFAULT_TRACE_CHUNK_ROWS
         assert config().cache is True
 
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GPU_BATCH", "off")
-        with override(gpu_batch=True):
-            assert config().gpu_batch is True
-        assert config().gpu_batch is False
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        with override(cache=True):
+            assert config().cache is True
+        assert config().cache is False
 
     def test_immutable(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config().gpu_batch = False
+            config().cache = False
 
     def test_default_cache_honors_config(self):
         with override(cache=False):
