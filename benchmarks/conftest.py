@@ -5,15 +5,12 @@ Benchmarks run the paper's experiments at SMALL scale (override with
 rendered tables to ``benchmarks/results/<id>.txt`` so the regenerated
 paper data survives the run.
 
-With ``--update-bench`` (or ``REPRO_BENCH_UPDATE=1``), the session is
-appended to ``benchmarks/BENCH_timings.json`` — per-test wall clock,
-**outcome** (skipped/failed benches no longer vanish from the record),
-and **peak RSS**, under a cross-process file lock so concurrent
-sessions both land — and dual-written into the perfwatch history
-(``benchmarks/perf-history.jsonl``, or ``REPRO_PERF_HISTORY``; ``off``
-disables), where ``runner perf gate|trend|report`` turn the one-shot
-numbers into an analyzable trajectory (docs/PERF.md).  Exploratory runs
-without the flag leave both files untouched.
+With ``--update-bench`` the session is appended to the perf history,
+``benchmarks/perf-history.jsonl``: per-test wall clock, peak RSS, and
+the count of skipped and failed benchmarks, tagged with the git SHA,
+host and config fingerprint.  ``runner perf gate|trend|report`` read
+that trajectory (docs/PERF.md).  Exploratory runs without the flag
+leave the history untouched.
 
 The recording logic lives in :mod:`repro.perfwatch.bench` — this file
 is only the pytest wiring.
@@ -24,11 +21,11 @@ import pathlib
 
 import pytest
 
-from repro.common.config import SimScale, config
-from repro.perfwatch.bench import BenchRecorder, append_bench_record
+from repro.common.config import SimScale
+from repro.perfwatch.bench import BenchRecorder
+from repro.perfwatch.store import PerfHistory
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-TIMINGS_PATH = pathlib.Path(__file__).parent / "BENCH_timings.json"
 HISTORY_PATH = pathlib.Path(__file__).parent / "perf-history.jsonl"
 
 _recorder = BenchRecorder(
@@ -39,9 +36,8 @@ _recorder = BenchRecorder(
 def pytest_addoption(parser):
     parser.addoption(
         "--update-bench", action="store_true", default=False,
-        help="append this session's timings/outcomes/RSS to "
-             "BENCH_timings.json and the perfwatch history "
-             "(REPRO_BENCH_UPDATE=1 is the environment fallback)",
+        help="append this session's timings, outcomes and peak RSS to "
+             "benchmarks/perf-history.jsonl",
     )
 
 
@@ -50,28 +46,9 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    update = session.config.getoption("--update-bench") or (
-        os.environ.get("REPRO_BENCH_UPDATE", "").strip().lower()
-        in ("1", "yes", "true", "on")
-    )
-    if _recorder.empty or not update:
+    if _recorder.empty or not session.config.getoption("--update-bench"):
         return
-    from repro.perfwatch.bench import dual_write_history
-    from repro.perfwatch.store import environment_tags
-
-    tags = environment_tags()
-    record = _recorder.record(tags)
-    append_bench_record(TIMINGS_PATH, record)
-    # Dual-write: the same session extends the analyzable trajectory.
-    # REPRO_PERF_HISTORY overrides the default next-door path; "off"
-    # (config().perf_history is None) disables the mirror entirely.
-    env_path = os.environ.get("REPRO_PERF_HISTORY", "").strip()
-    if env_path:
-        history_path = config().perf_history  # None when "off"
-    else:
-        history_path = str(HISTORY_PATH)
-    if history_path:
-        dual_write_history(history_path, record, tags)
+    PerfHistory(HISTORY_PATH).append(_recorder.session())
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ cache) of a large-grid kernel on the batch engine and on the per-block
 oracle (swapped in for the engine ``GPU.launch`` calls) and asserts the
 batch engine delivers the speedup it exists for.  Runs under the same
 session hook as every other benchmark, so the two timings land in
-``BENCH_timings.json`` history via this test's wall clock.
+the ``perf-history.jsonl`` trajectory via this test's wall clock.
 """
 
 import contextlib

@@ -6,7 +6,7 @@ than the execution it replaces, and M identical concurrent cold
 requests must cost exactly one execution (coalescing).  Both claims
 are asserted here with the shared load generator
 (:func:`repro.service.run_load`) so their trajectory lands in
-``BENCH_timings.json``:
+``perf-history.jsonl``:
 
 - ``test_warm_vs_cold_speedup`` — warm p50 must be >= 50x faster than
   the cold execution it short-circuits, at SMALL scale.

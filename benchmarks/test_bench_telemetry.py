@@ -8,8 +8,8 @@ measure the per-call cost of a disabled probe, and bound the total
 disabled-path overhead as ``calls x cost / wall_time``.  This is robust
 where a direct A/B wall-clock diff at the 2% level would be noise.
 
-Runs under the session hook, so the timings land in
-``BENCH_timings.json`` history alongside every other benchmark.
+Runs under the session hook, so the timings land in the
+``perf-history.jsonl`` trajectory alongside every other benchmark.
 """
 
 import time

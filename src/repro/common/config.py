@@ -60,7 +60,7 @@ def scaled(base: int, scale: SimScale, minimum: int = 1) -> int:
 # Runtime configuration (REPRO_* environment toggles)
 # ----------------------------------------------------------------------
 #: Values that turn a toggle off (``REPRO_CACHE=off``,
-#: ``REPRO_PROFILE=0``, ``REPRO_REGISTRY=no``, ...).
+#: ``REPRO_REGISTRY=no``, ...).
 FALSE_VALUES = ("off", "0", "no", "false")
 
 #: Default artifact-cache root, relative to the working directory.
@@ -77,7 +77,8 @@ DEFAULT_TRACE_BUDGET = 512 * 1024 * 1024
 #: Default rows per column chunk of a trace store.
 DEFAULT_TRACE_CHUNK_ROWS = 1 << 20
 
-#: Experiment-service defaults (see repro.service / docs/SERVICE.md).
+#: Experiment-service defaults, overridden by ``runner serve`` flags
+#: (see repro.service / docs/SERVICE.md).
 DEFAULT_SERVICE_HOST = "127.0.0.1"
 DEFAULT_SERVICE_PORT = 8177
 DEFAULT_SERVICE_WORKERS = 2
@@ -87,9 +88,9 @@ DEFAULT_SERVICE_QUEUE = 8
 #: (milliseconds; see repro.service.observability).
 DEFAULT_SERVICE_SLOW_MS = 1000.0
 
-#: Default perf-history trajectory (repro.perfwatch / docs/PERF.md).
-#: Lives next to BENCH_timings.json: the benchmark harness dual-writes
-#: its sessions there, and `runner perf` reads it by default.
+#: Default perf-history trajectory (repro.perfwatch / docs/PERF.md):
+#: the benchmark harness appends its sessions there, and `runner perf`
+#: reads it unless given ``--history``.
 DEFAULT_PERF_HISTORY = "benchmarks/perf-history.jsonl"
 
 _ENV_VARS = (
@@ -100,15 +101,7 @@ _ENV_VARS = (
     "REPRO_TRACE",
     "REPRO_TRACE_BUDGET",
     "REPRO_TRACE_CHUNK",
-    "REPRO_PROFILE",
     "REPRO_REGISTRY",
-    "REPRO_SERVICE_HOST",
-    "REPRO_SERVICE_PORT",
-    "REPRO_SERVICE_WORKERS",
-    "REPRO_SERVICE_QUEUE",
-    "REPRO_SERVICE_ACCESS_LOG",
-    "REPRO_SERVICE_SLOW_MS",
-    "REPRO_PERF_HISTORY",
 )
 
 
@@ -127,10 +120,9 @@ def _parse_bytes(value: Optional[str], default: int) -> int:
         return default
 
 
-def _env_true(value: Optional[str], default: bool = True) -> bool:
-    if value is None or not value.strip():
-        return default
-    return value.strip().lower() not in FALSE_VALUES
+def _env_true(value: Optional[str]) -> bool:
+    """An on-by-default toggle: only the FALSE_VALUES turn it off."""
+    return not value or value.strip().lower() not in FALSE_VALUES
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,9 +140,6 @@ class RuntimeConfig:
                        ``off`` disables spilling).
     trace_chunk_rows-- rows per trace column chunk
                        (``REPRO_TRACE_CHUNK``).
-    profile         -- span self-time attribution + tracemalloc peak
-                       gauges when a telemetry session starts
-                       (``REPRO_PROFILE``, default off).
     registry_dir    -- run-registry root (``REPRO_REGISTRY``); None (the
                        default) disables persisting run records.  The
                        experiment CLI turns this on with
@@ -161,23 +150,6 @@ class RuntimeConfig:
                        0, the default, means unbounded).
     cache_budget_entries -- artifact-cache entry-count budget
                        (``REPRO_CACHE_ENTRIES``; 0 means unbounded).
-    service_host    -- experiment-service bind address
-                       (``REPRO_SERVICE_HOST``).
-    service_port    -- experiment-service port (``REPRO_SERVICE_PORT``;
-                       0 lets the OS pick).
-    service_workers -- cold-execution process-pool width
-                       (``REPRO_SERVICE_WORKERS``).
-    service_queue   -- max in-flight cold requests before the service
-                       answers 429 (``REPRO_SERVICE_QUEUE``).
-    service_access_log -- structured JSONL access-log path, or None for
-                       no access log (``REPRO_SERVICE_ACCESS_LOG``).
-    service_slow_ms -- slow-request exemplar threshold in milliseconds
-                       (``REPRO_SERVICE_SLOW_MS``).
-    perf_history    -- perf-history JSONL trajectory read/written by
-                       ``runner perf`` and the benchmark harness
-                       (``REPRO_PERF_HISTORY``; ``off`` disables the
-                       harness dual-write and makes the CLI demand an
-                       explicit ``--history``).
     """
 
     cache: bool = True
@@ -185,17 +157,9 @@ class RuntimeConfig:
     trace: Optional[str] = None
     trace_budget: int = DEFAULT_TRACE_BUDGET
     trace_chunk_rows: int = DEFAULT_TRACE_CHUNK_ROWS
-    profile: bool = False
     registry_dir: Optional[str] = None
     cache_budget_bytes: int = 0
     cache_budget_entries: int = 0
-    service_host: str = DEFAULT_SERVICE_HOST
-    service_port: int = DEFAULT_SERVICE_PORT
-    service_workers: int = DEFAULT_SERVICE_WORKERS
-    service_queue: int = DEFAULT_SERVICE_QUEUE
-    service_access_log: Optional[str] = None
-    service_slow_ms: float = DEFAULT_SERVICE_SLOW_MS
-    perf_history: Optional[str] = DEFAULT_PERF_HISTORY
 
     @classmethod
     def from_env(cls) -> "RuntimeConfig":
@@ -213,56 +177,21 @@ class RuntimeConfig:
         chunk_rows = _parse_bytes(
             os.environ.get("REPRO_TRACE_CHUNK"), DEFAULT_TRACE_CHUNK_ROWS
         )
-        perf_raw = os.environ.get("REPRO_PERF_HISTORY", "").strip()
-        if not perf_raw:
-            perf_history: Optional[str] = DEFAULT_PERF_HISTORY
-        elif perf_raw.lower() in FALSE_VALUES:
-            perf_history = None
-        else:
-            perf_history = perf_raw
-
-        def _int_env(var: str, default: int, minimum: int = 0) -> int:
-            try:
-                return max(minimum, int(os.environ.get(var, "")))
-            except ValueError:
-                return default
-
-        def _float_env(var: str, default: float,
-                       minimum: float = 0.0) -> float:
-            try:
-                return max(minimum, float(os.environ.get(var, "")))
-            except ValueError:
-                return default
-
+        try:
+            cache_entries = int(os.environ.get("REPRO_CACHE_ENTRIES", ""))
+        except ValueError:
+            cache_entries = 0
         return cls(
             cache=_env_true(os.environ.get("REPRO_CACHE")),
             cache_dir=os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR),
             trace=os.environ.get("REPRO_TRACE") or None,
             trace_budget=trace_budget,
             trace_chunk_rows=max(1, chunk_rows),
-            profile=_env_true(os.environ.get("REPRO_PROFILE"), default=False),
             registry_dir=registry_dir,
             cache_budget_bytes=_parse_bytes(
                 os.environ.get("REPRO_CACHE_BUDGET"), 0
             ),
-            cache_budget_entries=_int_env("REPRO_CACHE_ENTRIES", 0),
-            service_host=os.environ.get(
-                "REPRO_SERVICE_HOST", DEFAULT_SERVICE_HOST
-            ) or DEFAULT_SERVICE_HOST,
-            service_port=_int_env("REPRO_SERVICE_PORT", DEFAULT_SERVICE_PORT),
-            service_workers=_int_env(
-                "REPRO_SERVICE_WORKERS", DEFAULT_SERVICE_WORKERS, minimum=1
-            ),
-            service_queue=_int_env(
-                "REPRO_SERVICE_QUEUE", DEFAULT_SERVICE_QUEUE, minimum=1
-            ),
-            service_access_log=(
-                os.environ.get("REPRO_SERVICE_ACCESS_LOG") or None
-            ),
-            service_slow_ms=_float_env(
-                "REPRO_SERVICE_SLOW_MS", DEFAULT_SERVICE_SLOW_MS
-            ),
-            perf_history=perf_history,
+            cache_budget_entries=max(0, cache_entries),
         )
 
 

@@ -1,12 +1,14 @@
-"""Cross-process file locks for the content-addressed stores.
+"""Cross-process file locks and the one write path of the file stores.
 
-The artifact cache and the run registry are written by many processes
-at once (the parallel runner's pool, the experiment service's workers,
-concurrent CLI invocations).  Readers stay lock-free — every payload is
-published with an atomic rename, so a reader either sees a complete
-file or no file.  Writers and pruners coordinate through ``O_EXCL``
-lockfiles so two processes never interleave a read-modify-write (LRU
-eviction, budget accounting) on the same key range.
+The artifact cache, the run registry and the service's exemplar files
+are written by many processes at once (the parallel runner's pool, the
+experiment service's workers, concurrent CLI invocations).  All of them
+publish through :func:`publish` and prune through :func:`evict_lru`.
+Readers stay lock-free — every payload is published with an atomic
+rename, so a reader either sees a complete file or no file.  Writers
+and pruners coordinate through ``O_EXCL`` lockfiles so two processes
+never interleave a read-modify-write (LRU eviction, budget accounting)
+on the same key range.
 
 Design points:
 
@@ -28,9 +30,12 @@ Design points:
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
+
+from repro import telemetry
 
 
 class LockTimeout(OSError):
@@ -143,3 +148,94 @@ def store_lock(root: Union[str, os.PathLike], name: str,
     can glob payload files without excluding lock names.
     """
     return FileLock(Path(root) / ".locks" / f"{name}.lock", **kwargs)
+
+
+def publish(path: Union[str, os.PathLike],
+            write_fn: Callable[[str], None]) -> Path:
+    """Write one store file atomically; ``write_fn(tmp)`` fills it.
+
+    The temp file lives in the same directory (so the rename is atomic
+    on one filesystem) and keeps the final suffix (``np.savez`` appends
+    ``.npz`` to anything else); its ``.tmp.`` infix keeps it out of
+    every store scan.  A per-key-prefix lock (the first two characters
+    after the name's last ``-``, a content hash in every store)
+    serializes same-range writers and fences the pruner; on timeout the
+    write proceeds unlocked — the rename keeps it atomic, the lock only
+    avoids duplicate temp-file churn.  On any failure the temp file is
+    removed, the lock released and the previous file left in place.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    shard = path.stem.rsplit("-", 1)[-1][:2] or "00"
+    lock = store_lock(path.parent, f"w-{shard}")
+    try:
+        lock.acquire()
+    except LockTimeout:
+        telemetry.count("store.lock.timeout")
+    try:
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=path.stem + ".tmp.", suffix=path.suffix
+        )
+        os.close(fd)
+        try:
+            write_fn(tmp)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    finally:
+        lock.release()
+    return path
+
+
+def evict_lru(root: Union[str, os.PathLike], globs: Iterable[str],
+              max_entries: int, max_bytes: int, lock_name: str) -> int:
+    """Unlink the least-recently-used files of a store past its budget.
+
+    Files matching ``globs`` under ``root`` are ranked by mtime, newest
+    first; the newest always survives, so a just-written file cannot
+    evict itself.  A budget of 0 is unbounded.  Single-flight: if
+    another process holds the ``lock_name`` prune lock the pass is
+    skipped (it is doing the same work).  Each candidate is re-stat'ed
+    before its unlink — one that vanished is skipped, and one whose
+    mtime advanced since the scan was just *used* by a reader, so it is
+    spared this round.  Returns the number of files removed.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        return 0
+    lock = store_lock(root, lock_name)
+    if not lock.try_acquire():
+        return 0
+    try:
+        entries = []
+        try:
+            for pattern in globs:
+                for p in root.glob(pattern):
+                    if ".tmp." in p.name:
+                        continue  # in-flight write, not a payload
+                    try:
+                        st = p.stat()
+                    except OSError:
+                        continue
+                    entries.append((st.st_mtime, st.st_size, p))
+        except OSError:
+            return 0
+        entries.sort(key=lambda e: e[0], reverse=True)
+        total = 0
+        evicted = 0
+        for kept, (mtime, size, p) in enumerate(entries, start=1):
+            total += size
+            if kept == 1 or ((not max_entries or kept <= max_entries)
+                             and (not max_bytes or total <= max_bytes)):
+                continue
+            try:
+                if p.stat().st_mtime > mtime:
+                    continue  # touched since the scan: recently used
+                p.unlink()
+            except OSError:
+                continue  # already gone — nothing to evict
+            evicted += 1
+        return evicted
+    finally:
+        lock.release()

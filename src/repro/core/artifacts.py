@@ -25,7 +25,8 @@ entry is therefore impossible by construction; there is no TTL and no
 manual invalidation step.
 
 Layout: ``<root>/<kind>-<name>-<scale>-<hash12>.{json,npz}`` — flat,
-human-listable, safe for concurrent writers (atomic tmp + rename).
+human-listable, safe for concurrent writers (every file is written by
+:func:`repro.common.locks.publish`).
 
 Control (all resolved through :func:`repro.common.config.config`):
 
@@ -48,16 +49,19 @@ Concurrency contract (the experiment service leans on this):
   ``open`` (the mtime-LRU TOCTOU) degrades to a miss; the read-side
   mtime touch tolerates the same race.
 - **Writes take a per-key-prefix lock** (``O_EXCL`` lockfile under
-  ``<root>/.locks/``, see :mod:`repro.common.locks`) keyed on the
-  first two hex digits of the content hash, so concurrent writers of
-  *different* key ranges never contend while same-key writers
-  serialize.  Lock acquisition failure downgrades to an unlocked (but
-  still atomic) write: duplicated work, never corruption.
+  ``<root>/.locks/``) keyed on the first two hex digits of the content
+  hash, so concurrent writers of *different* key ranges never contend
+  while same-key writers serialize.  Lock acquisition failure
+  downgrades to an unlocked (but still atomic) write: duplicated work,
+  never corruption.
 - **Pruning is single-flight.**  :meth:`ArtifactCache.prune` and
-  :meth:`ArtifactCache.prune_plans` take a non-blocking prune lock and
-  simply skip the pass when another process is already evicting; every
-  candidate is re-stat'ed immediately before ``unlink`` so a file that
-  was touched (used) or removed since the scan survives / is skipped.
+  :meth:`ArtifactCache.prune_plans` skip the pass when another process
+  is already evicting; every candidate is re-stat'ed immediately before
+  ``unlink`` so a file that was touched (used) or removed since the
+  scan survives / is skipped.
+
+Both rules live in :mod:`repro.common.locks` (:func:`publish`,
+:func:`evict_lru`), shared with the run registry.
 """
 
 from __future__ import annotations
@@ -67,13 +71,12 @@ import hashlib
 import inspect
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional
 
 from repro import telemetry
 from repro.common.config import SimScale, config as runtime_config
-from repro.common.locks import LockTimeout, store_lock
+from repro.common.locks import evict_lru, publish
 from repro.cpusim.coherence import CoherenceStats
 from repro.cpusim.metrics import CPUMetrics
 from repro.cpusim.sharing import SharingStats, SizeSharing
@@ -179,38 +182,6 @@ class ArtifactCache:
         except OSError:
             pass
 
-    @staticmethod
-    def _key_shard(path: Path) -> str:
-        """Lock shard for one artifact: first 2 hex digits of its key."""
-        return path.stem.rsplit("-", 1)[-1][:2] or "00"
-
-    def _write_atomic(self, path: Path, write_fn) -> None:
-        # The temp file keeps the final suffix (np.savez appends ".npz"
-        # to anything else) and lives in the same directory so the
-        # rename is atomic on the same filesystem.  The per-key-prefix
-        # lock serializes same-range writers (and fences the pruner);
-        # on timeout the write proceeds unlocked — rename keeps it
-        # atomic, the lock only avoids duplicate temp-file churn.
-        self.root.mkdir(parents=True, exist_ok=True)
-        lock = store_lock(self.root, f"w-{self._key_shard(path)}")
-        try:
-            lock.acquire()
-        except LockTimeout:
-            telemetry.count("artifacts.lock.timeout")
-        try:
-            fd, tmp = tempfile.mkstemp(
-                dir=self.root, prefix=path.stem + ".tmp.", suffix=path.suffix
-            )
-            os.close(fd)
-            try:
-                write_fn(tmp)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        finally:
-            lock.release()
-
     # -- CPU metrics ----------------------------------------------------
     def cpu_key(self, name: str, scale: SimScale, cpu_fn,
                 config: Optional[Dict[str, Any]] = None) -> str:
@@ -234,12 +205,7 @@ class ArtifactCache:
                 metrics: CPUMetrics) -> None:
         path = self._path("cpu", name, scale, key, ".json")
         payload = json.dumps(_metrics_to_dict(metrics))
-
-        def write(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-
-        self._write_atomic(path, write)
+        publish(path, lambda tmp: Path(tmp).write_text(payload, "utf-8"))
         telemetry.count("artifacts.cpu.put")
         self.prune()
 
@@ -266,7 +232,7 @@ class ArtifactCache:
     def put_gpu(self, name: str, scale: SimScale, key: str,
                 trace: KernelTrace) -> None:
         path = self._path("gpu", name, scale, key, ".npz")
-        self._write_atomic(path, lambda tmp: save_trace(trace, tmp))
+        publish(path, lambda tmp: save_trace(trace, tmp))
         telemetry.count("artifacts.gpu.put")
         self.prune()
 
@@ -295,12 +261,7 @@ class ArtifactCache:
                  text: str) -> Path:
         """Atomically persist pre-serialized JSON text under a key."""
         path = self._path(kind, name, scale, key, ".json")
-
-        def write(tmp):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-
-        self._write_atomic(path, write)
+        publish(path, lambda tmp: Path(tmp).write_text(text, "utf-8"))
         telemetry.count(f"artifacts.{kind}.put")
         self.prune()
         return path
@@ -328,7 +289,7 @@ class ArtifactCache:
     def put_plan_file(self, kernel_name: str, key: str, write_fn) -> Path:
         """Atomically persist one plan set, then enforce the budget."""
         path = self.plan_path(kernel_name, key)
-        self._write_atomic(path, write_fn)
+        publish(path, write_fn)
         telemetry.count("artifacts.plan.put")
         self.prune_plans()
         return path
@@ -341,9 +302,8 @@ class ArtifactCache:
         Returns the number of files removed.  The newest file always
         survives so a just-written plan cannot evict itself.
         """
-        evicted = self._evict_lru(
-            ("plan-*.npz",), max_entries, max_bytes, lock_name="prune-plans"
-        )
+        evicted = evict_lru(self.root, ("plan-*.npz",), max_entries,
+                            max_bytes, lock_name="prune-plans")
         if evicted:
             telemetry.count("artifacts.plan.evict", evicted)
         return evicted
@@ -371,65 +331,11 @@ class ArtifactCache:
             max_bytes = cfg.cache_budget_bytes
         if not max_entries and not max_bytes:
             return 0
-        evicted = self._evict_lru(
-            self.ARTIFACT_GLOBS,
-            max_entries or (1 << 62),
-            max_bytes or (1 << 62),
-            lock_name="prune",
-        )
+        evicted = evict_lru(self.root, self.ARTIFACT_GLOBS, max_entries,
+                            max_bytes, lock_name="prune")
         if evicted:
             telemetry.count("artifacts.evict", evicted)
         return evicted
-
-    def _evict_lru(self, globs: Iterable[str], max_entries: int,
-                   max_bytes: int, lock_name: str) -> int:
-        """Shared LRU eviction pass, concurrency-tolerant.
-
-        Single-flight: if another process holds the prune lock the
-        pass is skipped (it is doing the same work).  Before each
-        unlink the candidate is re-stat'ed — a file that vanished is
-        skipped, and one whose mtime advanced since the scan was just
-        *used* by a reader, so it is spared this round rather than
-        evicted out from under a warm hit.
-        """
-        lock = store_lock(self.root, lock_name)
-        if not lock.try_acquire():
-            return 0
-        try:
-            entries = []
-            try:
-                for pattern in globs:
-                    for p in self.root.glob(pattern):
-                        if ".tmp." in p.name:
-                            continue  # in-flight write, not a payload
-                        try:
-                            st = p.stat()
-                        except OSError:
-                            continue
-                        entries.append((st.st_mtime, st.st_size, p))
-            except OSError:
-                return 0
-            entries.sort(key=lambda e: e[0], reverse=True)
-            total = 0
-            evicted = 0
-            for kept, (mtime, size, p) in enumerate(entries, start=1):
-                total += size
-                if kept == 1 or (kept <= max_entries and total <= max_bytes):
-                    continue
-                try:
-                    st = p.stat()  # re-stat: tolerate concurrent use
-                except OSError:
-                    continue  # already gone — nothing to evict
-                if st.st_mtime > mtime:
-                    continue  # touched since the scan: recently used
-                try:
-                    p.unlink()
-                except OSError:
-                    continue
-                evicted += 1
-            return evicted
-        finally:
-            lock.release()
 
 
 # ----------------------------------------------------------------------

@@ -66,9 +66,7 @@ def _machine_config() -> Dict[str, int]:
     }
 
 
-def cpu_metrics_for(
-    name: str, scale: SimScale = SimScale.SMALL, check: bool = True
-) -> CPUMetrics:
+def cpu_metrics_for(name: str, scale: SimScale = SimScale.SMALL) -> CPUMetrics:
     """Run a workload's CPU implementation and characterize its trace.
 
     Results are memoized per process and persisted in the artifact cache
@@ -98,7 +96,7 @@ def cpu_metrics_for(
         tracer = CodeFootprintTracer()
         with tracer:
             result = defn.cpu_fn(machine, scale)
-        if check and defn.check_cpu is not None:
+        if defn.check_cpu is not None:
             defn.check_cpu(result, scale)
         metrics = characterize_trace(
             machine, name, code_footprint_64b=tracer.footprint_blocks()
@@ -113,7 +111,6 @@ def gpu_trace_for(
     name: str,
     scale: SimScale = SimScale.SMALL,
     version: Optional[int] = None,
-    check: bool = True,
 ) -> KernelTrace:
     """Run a workload's GPU implementation; returns its kernel trace.
 
@@ -146,7 +143,7 @@ def gpu_trace_for(
                         scale=scale.value, version=version or 0):
         gpu = GPU(app_name=name)
         result = fn(gpu, scale)
-        if check and version is None and defn.check_gpu is not None:
+        if version is None and defn.check_gpu is not None:
             defn.check_gpu(result, scale)
     _gpu_cache[key] = gpu.trace
     if disk is not None:

@@ -9,7 +9,7 @@ architect would circulate after running the characterization.
     text = build_report(scale=SimScale.SMALL)
     Path("report.md").write_text(text)
 
-or ``python -m repro.experiments.runner report``.
+or ``python -m repro.experiments.runner run report``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ are looked up by id (``fig1``, ``table3``, ``pb``, ``report``, ...) and
 invoked through the one typed entry point, :func:`run_experiment`, which
 wraps the driver in a telemetry span and fills in the result's
 ``title``/``metadata``/``span_id``.  The CLI is
-``python -m repro.experiments.runner <id>``.
+``python -m repro.experiments.runner run <id>``.
 
 :class:`ExperimentResult` is the single return type of the whole
 experiment layer: rendered tables (what the paper printed/plotted), an

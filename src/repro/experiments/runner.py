@@ -2,10 +2,8 @@
 
 Subcommands:
 
-- ``run``     — regenerate tables/figures (the historical behaviour);
-  ``python -m repro.experiments.runner fig1 --scale small`` without a
-  subcommand is an alias for ``run fig1 --scale small``, so existing
-  docs, CI pipelines, and muscle memory keep working.
+- ``run``     — regenerate tables/figures
+  (``python -m repro.experiments.runner run fig1 --scale small``).
 - ``serve``   — start the experiment service daemon
   (:mod:`repro.service`, see docs/SERVICE.md).
 - ``bench``   — drive a load-generation run against a service (an
@@ -36,7 +34,7 @@ every span and counter as JSONL (``REPRO_TRACE`` is the environment
 fallback) — with ``--jobs`` each pool worker appends its own
 ``out.<pid>.jsonl`` and its counters are merged into the parent;
 ``--metrics`` prints the aggregated summary tables after the run;
-``--profile`` adds span self-time attribution and a peak-memory gauge.
+``--profile`` adds span self-time attribution and a peak-RSS gauge.
 
 Fidelity (:mod:`repro.fidelity`): every run is recorded in the run
 registry (``--registry DIR``, default ``.repro_runs``; ``--registry
@@ -65,6 +63,11 @@ from repro import telemetry
 from repro.api import ExperimentRequest
 from repro.common.config import (
     DEFAULT_REGISTRY_DIR,
+    DEFAULT_SERVICE_HOST,
+    DEFAULT_SERVICE_PORT,
+    DEFAULT_SERVICE_QUEUE,
+    DEFAULT_SERVICE_SLOW_MS,
+    DEFAULT_SERVICE_WORKERS,
     FALSE_VALUES,
     SimScale,
     config,
@@ -168,6 +171,19 @@ def _baseline_metrics(ref: str, scale: SimScale, registry_dir: Optional[str]):
     return record.metrics, f"{record.kind}-{record.run_id}"
 
 
+def _save_record(registry_dir: str, record, label: str) -> None:
+    """Archive a finished run's record; a failed save (a full disk) is
+    reported, never fatal — the tables are already printed."""
+    from repro.fidelity import RunRegistry
+
+    try:
+        path = RunRegistry(registry_dir).save(record)
+    except OSError as exc:
+        print(f"[registry] error: {exc}", file=sys.stderr)
+    else:
+        print(f"{label} {path}", file=sys.stderr)
+
+
 def _cmd_run(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.runner run",
@@ -205,9 +221,8 @@ def _cmd_run(argv) -> int:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="attribute wall time to spans (self vs children) and track "
-             "peak memory; prints the hot-span table after the run "
-             "(REPRO_PROFILE is the environment fallback)",
+        help="attribute wall time to spans (self vs children) and report "
+             "peak RSS; prints the hot-span table after the run",
     )
     parser.add_argument(
         "--registry", metavar="DIR", default=None,
@@ -250,15 +265,14 @@ def _cmd_run(argv) -> int:
         set_artifact_cache(None)
     ids = list(ALL_EXPERIMENTS) if args.experiments == ["all"] else args.experiments
     trace_path = args.trace or config().trace
-    profile = args.profile or config().profile
     registry_dir = _resolve_registry_dir(args.registry)
     started = (
         telemetry.start(
             trace_path=trace_path,
             meta={"argv": ids, "scale": scale.value},
-            profile=profile,
+            profile=args.profile,
         )
-        if (trace_path or args.metrics or profile)
+        if (trace_path or args.metrics or args.profile)
         else False
     )
     exit_code = 0
@@ -316,8 +330,7 @@ def _cmd_run(argv) -> int:
                 record.experiments.append("gpuprof")
                 record.stamp()
                 if registry_dir:
-                    gpath = RunRegistry(registry_dir).save(gpu_record)
-                    print(f"[gpuprof] {gpath}", file=sys.stderr)
+                    _save_record(registry_dir, gpu_record, "[gpuprof]")
                 timeline = _gpu_timeline_path(
                     trace_path, registry_dir, gpu_record.run_id
                 )
@@ -330,8 +343,7 @@ def _cmd_run(argv) -> int:
                     print(f"[gpuprof timeline] {timeline}",
                           file=sys.stderr)
             if registry_dir:
-                path = RunRegistry(registry_dir).save(record)
-                print(f"[registry] {path}", file=sys.stderr)
+                _save_record(registry_dir, record, "[registry]")
             if args.save_baseline:
                 pathlib.Path(args.save_baseline).write_text(
                     record.to_json(), encoding="utf-8"
@@ -362,7 +374,7 @@ def _cmd_run(argv) -> int:
     finally:
         if started:
             snapshot = telemetry.stop()
-            if profile:
+            if args.profile:
                 if not args.metrics:
                     from repro.telemetry.profile import (
                         hot_spans_table,
@@ -372,9 +384,9 @@ def _cmd_run(argv) -> int:
                     aggs = live_aggregate(snapshot["span_stats"],
                                           snapshot["self_stats"])
                     print(hot_spans_table(aggs).render())
-                peak = snapshot["gauges"].get("profile.mem.peak_kb")
+                peak = snapshot["gauges"].get("profile.mem.peak_rss_kb")
                 if peak is not None:
-                    print(f"[profile] peak traced memory: {peak:.0f} kB",
+                    print(f"[profile] peak RSS: {peak:.0f} kB",
                           file=sys.stderr)
     return exit_code
 
@@ -386,27 +398,26 @@ def _cmd_serve(argv) -> int:
         prog="python -m repro.experiments.runner serve",
         description="Run the experiment service daemon (docs/SERVICE.md).",
     )
-    cfg = config()
     parser.add_argument(
-        "--host", default=None,
-        help=f"bind address (default: {cfg.service_host}; "
-             "REPRO_SERVICE_HOST is the environment fallback)",
+        "--host", default=DEFAULT_SERVICE_HOST,
+        help=f"bind address (default: {DEFAULT_SERVICE_HOST})",
     )
     parser.add_argument(
-        "--port", type=int, default=None,
+        "--port", type=int, default=DEFAULT_SERVICE_PORT,
         help=f"port to listen on; 0 lets the OS pick (default: "
-             f"{cfg.service_port}; REPRO_SERVICE_PORT fallback)",
+             f"{DEFAULT_SERVICE_PORT})",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=int, default=DEFAULT_SERVICE_WORKERS,
+        metavar="N",
         help=f"cold-execution process-pool width (default: "
-             f"{cfg.service_workers}; REPRO_SERVICE_WORKERS fallback)",
+             f"{DEFAULT_SERVICE_WORKERS})",
     )
     parser.add_argument(
-        "--queue-limit", type=int, default=None, metavar="N",
+        "--queue-limit", type=int, default=DEFAULT_SERVICE_QUEUE,
+        metavar="N",
         help="max distinct in-flight cold requests before answering "
-             f"429 (default: {cfg.service_queue}; REPRO_SERVICE_QUEUE "
-             "fallback)",
+             f"429 (default: {DEFAULT_SERVICE_QUEUE})",
     )
     parser.add_argument(
         "--registry", metavar="DIR", default=None,
@@ -421,14 +432,14 @@ def _cmd_serve(argv) -> int:
     parser.add_argument(
         "--access-log", metavar="PATH", default=None,
         help="structured JSONL access log, one object per request "
-             f"(default: {cfg.service_access_log or 'off'}; "
-             "REPRO_SERVICE_ACCESS_LOG fallback)",
+             "(default: off)",
     )
     parser.add_argument(
-        "--slow-ms", type=float, default=None, metavar="MS",
+        "--slow-ms", type=float, default=DEFAULT_SERVICE_SLOW_MS,
+        metavar="MS",
         help="persist a span-trace exemplar to the registry for any "
              f"cold request slower than MS (default: "
-             f"{cfg.service_slow_ms:g}; REPRO_SERVICE_SLOW_MS fallback)",
+             f"{DEFAULT_SERVICE_SLOW_MS:g})",
     )
     parser.add_argument(
         "--slo", metavar="SPEC", default=None,
@@ -437,15 +448,16 @@ def _cmd_serve(argv) -> int:
              "makes the process exit nonzero (docs/SERVICE.md)",
     )
     parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
+        "--baseline", metavar="REF", default=None,
         help="compare this lifetime's service/* metrics against a "
-             "saved baseline via the fidelity drift gate; exit "
-             "nonzero on failure",
+             "service run record (a path or a registry run id) via the "
+             "fidelity drift gate; exit 1 on drift, 2 when the record "
+             "cannot be read",
     )
     parser.add_argument(
         "--save-baseline", metavar="PATH", default=None,
-        help="write this lifetime's service/* metrics as a baseline "
-             "file for future --baseline gating",
+        help="write this lifetime's service run record to PATH for "
+             "future --baseline gating",
     )
     args = parser.parse_args(argv)
     if args.slo:  # fail on a typo'd gate before binding the port
@@ -462,9 +474,7 @@ def _cmd_serve(argv) -> int:
         queue_limit=args.queue_limit, cache_dir=cache_dir,
         registry_dir=registry_dir or "",
         access_log=args.access_log,
-        slow_request_s=(
-            None if args.slow_ms is None else args.slow_ms / 1e3
-        ),
+        slow_request_s=args.slow_ms / 1e3,
         slo=args.slo, baseline=args.baseline,
         save_baseline=args.save_baseline,
     )
@@ -483,9 +493,10 @@ def _cmd_bench(argv) -> int:
     parser.add_argument(
         "--scale", default="small", choices=[s.value for s in SimScale],
     )
-    parser.add_argument("--host", default=None, help="service host")
-    parser.add_argument("--port", type=int, default=None,
-                        help="service port")
+    parser.add_argument("--host", default=DEFAULT_SERVICE_HOST,
+                        help=f"service host (default: {DEFAULT_SERVICE_HOST})")
+    parser.add_argument("--port", type=int, default=DEFAULT_SERVICE_PORT,
+                        help=f"service port (default: {DEFAULT_SERVICE_PORT})")
     parser.add_argument(
         "--spawn", action="store_true",
         help="start a temporary in-process service on a free port for "
@@ -524,11 +535,8 @@ def _cmd_bench(argv) -> int:
             report = run_load(service.host, service.port, requests,
                               clients=args.clients, retry=retry)
     else:
-        cfg = config()
-        host = args.host or cfg.service_host
-        port = args.port or cfg.service_port
-        report = run_load(host, port, requests, clients=args.clients,
-                          retry=retry)
+        report = run_load(args.host, args.port, requests,
+                          clients=args.clients, retry=retry)
     print(report.table().render())
     return 1 if report.errors else 0
 
@@ -540,11 +548,10 @@ def _cmd_watch(argv) -> int:
                     "service: polls /v1/stats + /v1/metrics and renders "
                     "latency quantiles, route counts, and sparklines.",
     )
-    cfg = config()
-    parser.add_argument("--host", default=None,
-                        help=f"service host (default: {cfg.service_host})")
-    parser.add_argument("--port", type=int, default=None,
-                        help=f"service port (default: {cfg.service_port})")
+    parser.add_argument("--host", default=DEFAULT_SERVICE_HOST,
+                        help=f"service host (default: {DEFAULT_SERVICE_HOST})")
+    parser.add_argument("--port", type=int, default=DEFAULT_SERVICE_PORT,
+                        help=f"service port (default: {DEFAULT_SERVICE_PORT})")
     parser.add_argument(
         "--interval", type=float, default=2.0, metavar="S",
         help="seconds between polls (default: 2.0)",
@@ -566,8 +573,8 @@ def _cmd_watch(argv) -> int:
     from repro.service.watch import watch
 
     return watch(
-        host=args.host or cfg.service_host,
-        port=args.port or cfg.service_port,
+        host=args.host,
+        port=args.port,
         interval_s=args.interval,
         iterations=1 if args.once else args.iterations,
         clear=not args.no_clear and not args.once,
@@ -594,9 +601,7 @@ def _cmd_goldens(argv) -> int:
     return 0
 
 
-#: Subcommand table.  A first argument that is *not* one of these is
-#: treated as ``run``'s first argument, so the historical flat-flag
-#: invocation (``runner fig1 --scale small``) keeps working unchanged.
+#: Subcommand table; ``main`` dispatches on the first argument.
 _SUBCOMMANDS = {
     "run": _cmd_run,
     "serve": _cmd_serve,
@@ -611,7 +616,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in _SUBCOMMANDS:
         return _SUBCOMMANDS[argv[0]](argv[1:])
-    return _cmd_run(argv)
+    print(f"usage: python -m repro.experiments.runner "
+          f"{{{'|'.join(_SUBCOMMANDS)}}} ...", file=sys.stderr)
+    return 0 if argv[:1] in (["-h"], ["--help"]) else 2
 
 
 if __name__ == "__main__":

@@ -21,16 +21,20 @@ import dataclasses
 import hashlib
 import json
 import numbers
-import os
 import pathlib
-import tempfile
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.common.locks import LockTimeout, store_lock
+from repro.common.locks import evict_lru, publish
 
 #: Bump when the record shape changes; refuses cross-version loads.
 RECORD_VERSION = 1
+
+#: Record file names, ``<kind>-<run_id>.json``.  Registry scans match
+#: only these, so other files sharing the directory (slow-request
+#: exemplars, Chrome timelines, in-flight temp files) are never parsed
+#: as records.
+RECORD_GLOB = "*-" + "[0-9a-f]" * 16 + ".json"
 
 
 def flatten_metrics(experiment: str, data: Any) -> Dict[str, float]:
@@ -118,7 +122,10 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
+        """Parse one record; ``ValueError`` on anything else."""
         body = json.loads(text)
+        if not isinstance(body, dict):
+            raise ValueError("run record is not a JSON object")
         version = body.pop("v", None)
         if version != RECORD_VERSION:
             raise ValueError(
@@ -128,7 +135,10 @@ class RunRecord:
         unknown = set(body) - fields
         if unknown:
             raise ValueError(f"run record has unknown fields {sorted(unknown)}")
-        return cls(**body)
+        try:
+            return cls(**body)
+        except TypeError as exc:  # a required field is missing
+            raise ValueError(f"incomplete run record: {exc}") from None
 
 
 def record_from_results(
@@ -168,10 +178,12 @@ class RunRegistry:
     lazily on first :meth:`save`, so merely constructing a registry (or
     reading an empty one) touches nothing on disk.
 
-    Safe under concurrent cross-process writers: saves publish by
-    atomic tmp + rename under a per-run-id-prefix lock, reads are
-    lock-free (a complete file or nothing), and directory scans
-    tolerate records that a concurrent pruner unlinks mid-scan.
+    Safe under concurrent cross-process writers: saves go through
+    :func:`repro.common.locks.publish` (atomic rename under a
+    per-run-id-prefix lock), reads are lock-free (a complete file or
+    nothing), and directory scans, which match only
+    :data:`RECORD_GLOB`, tolerate records that a concurrent pruner
+    unlinks mid-scan.
     """
 
     def __init__(self, root: Union[str, pathlib.Path]):
@@ -184,35 +196,16 @@ class RunRegistry:
         """Persist (stamping if needed); returns the record's path.
 
         Atomic publish: a concurrent reader never observes a torn
-        record.  The lock (sharded on the first two run-id digits)
-        keeps same-key writers from churning temp files; on timeout
-        the write proceeds unlocked and rename still wins.
+        record.  ``OSError`` (a full disk) propagates with the previous
+        file, if any, intact.
         """
         if not record.run_id:
             record.stamp()
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(record)
-        lock = store_lock(self.root, f"w-{record.run_id[:2] or '00'}")
-        try:
-            lock.acquire()
-        except LockTimeout:
-            pass
-        try:
-            # ".tmp" suffix keeps in-flight writes out of the "*.json"
-            # globs used by records() and prune().
-            fd, tmp = tempfile.mkstemp(
-                dir=self.root, prefix=path.stem + ".", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(record.to_json())
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        finally:
-            lock.release()
-        return path
+        text = record.to_json()
+        return publish(
+            self.path_for(record),
+            lambda tmp: pathlib.Path(tmp).write_text(text, "utf-8"),
+        )
 
     def load(self, ref: Union[str, pathlib.Path]) -> RunRecord:
         """Load a record by path, or by run id within this registry."""
@@ -237,7 +230,7 @@ class RunRegistry:
         if not self.root.is_dir():
             return []
         out = []
-        for p in sorted(self.root.glob("*.json")):
+        for p in sorted(self.root.glob(RECORD_GLOB)):
             try:
                 out.append(RunRecord.from_json(p.read_text(encoding="utf-8")))
             except FileNotFoundError:
@@ -254,34 +247,11 @@ class RunRegistry:
     def prune(self, max_records: int) -> int:
         """Keep the ``max_records`` most-recent records (mtime-LRU).
 
-        Single-flight across processes (non-blocking prune lock) and
-        TOCTOU-safe: every candidate is re-stat'ed before ``unlink``,
-        so one refreshed or removed since the scan is left alone.
-        Returns the number of records removed.
+        Single-flight across processes and TOCTOU-safe (see
+        :func:`repro.common.locks.evict_lru`).  Returns the number of
+        records removed; ``max_records < 1`` removes none.
         """
-        if max_records < 1 or not self.root.is_dir():
+        if max_records < 1:
             return 0
-        lock = store_lock(self.root, "prune")
-        if not lock.try_acquire():
-            return 0
-        try:
-            entries = []
-            for p in self.root.glob("*.json"):
-                try:
-                    st = p.stat()
-                except OSError:
-                    continue
-                entries.append((st.st_mtime, p))
-            entries.sort(reverse=True)
-            removed = 0
-            for mtime, p in entries[max_records:]:
-                try:
-                    if p.stat().st_mtime > mtime:
-                        continue  # refreshed since the scan
-                    p.unlink()
-                except OSError:
-                    continue
-                removed += 1
-            return removed
-        finally:
-            lock.release()
+        return evict_lru(self.root, (RECORD_GLOB,), max_records, 0,
+                         lock_name="prune")

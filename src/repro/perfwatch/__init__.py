@@ -6,9 +6,9 @@ of discarding every measurement at session end:
 
 - :mod:`.store` — the append-only, schema-versioned, lock-protected
   ``perf-history.jsonl`` of tagged measurement sessions.
-- :mod:`.ingest` — adapters from every existing measurement surface
-  (benchmark timings, run-registry records, telemetry traces, live
-  service scrapes) into history sessions.
+- :mod:`.ingest` — adapters from the other measurement surfaces
+  (run-registry records, telemetry traces, live service scrapes) into
+  history sessions.
 - :mod:`.analysis` — median/MAD k-sigma regression detection and a
   two-window changepoint scan, reported through the fidelity layer's
   :class:`~repro.fidelity.drift.DriftReport` so missing metrics fail
@@ -16,8 +16,8 @@ of discarding every measurement at session end:
 - :mod:`.spandiff` — cross-run span-tree diffing: aligned self-time
   tables with a "what got slower" ranking.
 - :mod:`.bench` — the benchmark-harness session recorder behind
-  ``benchmarks/conftest.py`` (outcomes, peak RSS, locked appends,
-  dual-write into the history).
+  ``benchmarks/conftest.py`` (timings, outcomes, peak RSS), whose
+  sessions go straight into the history.
 - :mod:`.cli` — ``runner perf record|gate|report|trend|diff``.
 
 See docs/PERF.md.

@@ -1,49 +1,26 @@
 """Benchmark-session recording behind ``benchmarks/conftest.py``.
 
-The conftest used to hold an inline, untested read-modify-write of
-``BENCH_timings.json`` that only saw passing tests — a skipped or
-failed benchmark simply vanished from the record, indistinguishable
-from a fast session.  This module is the testable replacement:
+:class:`BenchRecorder` consumes pytest report objects (duck-typed:
+``when``/``nodeid``/``passed``/``failed``/``skipped``/``duration``) and
+tracks per-test wall clock, **outcome**, and **peak RSS** (the process
+high-water mark from ``resource.getrusage`` sampled at each test's end
+— monotone within a session, so per-test values read as "the footprint
+by the time this test finished").  :meth:`BenchRecorder.session` turns
+the session into one perf-history :class:`SessionRecord`, which the
+conftest appends to ``benchmarks/perf-history.jsonl``:
 
-- :class:`BenchRecorder` consumes pytest report objects (duck-typed:
-  ``when``/``nodeid``/``passed``/``failed``/``skipped``/``duration``)
-  and tracks per-test wall clock, **outcome**, and **peak RSS** (the
-  process high-water mark from ``resource.getrusage`` sampled at each
-  test's end — monotone within a session, so per-test values read as
-  "the footprint by the time this test finished").
-- :func:`append_bench_record` appends one session to the JSON-array
-  timings file under a cross-process
-  :class:`~repro.common.locks.FileLock`, so concurrent sessions (CI
-  shards, a developer racing CI) interleave whole records.
-- :func:`dual_write_history` mirrors the same session into the
-  perfwatch history (:mod:`repro.perfwatch.store`), which is what makes
-  ``BENCH_timings.json`` no longer write-only: every appended session
-  immediately extends the analyzable trajectory.
-
-Record schema (``schema: 2``)::
-
-    {"schema": 2, "timestamp": ..., "scale": ...,
-     "git": ..., "host": ..., "config": ...,
-     "total_s": <sum of passed-test seconds>,
-     "tests":    {nodeid: seconds},        # passed tests only
-     "outcomes": {nodeid: "passed"|"failed"|"skipped"},
-     "rss_kb":   {nodeid: peak-kB}}
-
-Historical records (no ``schema`` field, float-only ``tests``) remain
-readable by every consumer.
+- ``bench/<nodeid>`` — wall seconds of each passed test;
+- ``benchrss/<nodeid>`` — peak RSS in kB when the test finished;
+- ``bench/total_s`` — the summed wall seconds;
+- meta ``{"skipped": n, "failed": n}`` — a skipped or failed benchmark
+  is counted, not timed, so it cannot pass for a fast one.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional
 
-from repro.common.locks import FileLock, LockTimeout
-
-#: Version of the session-record shape written to BENCH_timings.json.
-BENCH_SCHEMA_VERSION = 2
+from repro.perfwatch.store import SessionRecord, environment_tags
 
 #: Outcome precedence: a test that failed in any phase is failed, then
 #: skipped, then passed.
@@ -90,81 +67,30 @@ class BenchRecorder:
     def empty(self) -> bool:
         return not self.outcomes
 
-    def record(self, tags: Optional[Dict[str, str]] = None) -> Dict[str, Any]:
-        """The session as a v2 BENCH_timings.json record."""
-        tags = tags or {}
-        return {
-            "schema": BENCH_SCHEMA_VERSION,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "scale": self.scale,
-            "git": tags.get("git", ""),
-            "host": tags.get("host", ""),
-            "config": tags.get("config", ""),
-            "total_s": round(sum(self.timings.values()), 4),
-            "tests": dict(sorted(self.timings.items())),
-            "outcomes": dict(sorted(self.outcomes.items())),
-            "rss_kb": dict(sorted(self.rss_kb.items())),
+    def session(
+        self, tags: Optional[Dict[str, str]] = None
+    ) -> SessionRecord:
+        """The session as a stamped ``bench`` perf-history record.
+
+        Tags default to the live environment's (git SHA, hostname,
+        config fingerprint).
+        """
+        metrics: Dict[str, float] = {
+            f"bench/{nodeid}": dur
+            for nodeid, dur in self.timings.items()
+            if self.outcomes.get(nodeid) == "passed"
         }
-
-
-def read_bench_history(
-    path: Union[str, pathlib.Path]
-) -> List[Dict[str, Any]]:
-    """The timings file as a list; missing/corrupt reads as empty."""
-    try:
-        body = json.loads(
-            pathlib.Path(path).read_text(encoding="utf-8")
-        )
-    except (OSError, ValueError):
-        return []
-    return body if isinstance(body, list) else []
-
-
-def append_bench_record(
-    path: Union[str, pathlib.Path],
-    record: Dict[str, Any],
-    lock_timeout: float = 10.0,
-) -> List[Dict[str, Any]]:
-    """Append one session record under the timings-file lock.
-
-    The whole read-append-rewrite happens inside the lock, so two
-    concurrent sessions both land (in some order) instead of one
-    clobbering the other.  On lock timeout the append proceeds
-    unlocked — matching the stores' "duplicated work beats lost work"
-    policy.  Returns the history as written.
-    """
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    lock = FileLock(target.with_name(target.name + ".lock"),
-                    timeout=lock_timeout)
-    try:
-        lock.acquire()
-    except LockTimeout:
-        pass
-    try:
-        history = read_bench_history(target)
-        history.append(record)
-        target.write_text(json.dumps(history, indent=2) + "\n",
-                          encoding="utf-8")
-        return history
-    finally:
-        lock.release()
-
-
-def dual_write_history(
-    history_path: Union[str, pathlib.Path],
-    record: Dict[str, Any],
-    tags: Optional[Dict[str, str]] = None,
-) -> bool:
-    """Mirror one bench session into the perfwatch trajectory.
-
-    Returns True when a new history line was written (False: the
-    session was already present).  Tags default to the live
-    environment's (git SHA, hostname, config fingerprint).
-    """
-    from repro.perfwatch.ingest import from_bench_record
-    from repro.perfwatch.store import PerfHistory, environment_tags
-
-    session = from_bench_record(record)
-    session.stamp(tags if tags is not None else environment_tags())
-    return PerfHistory(history_path).append(session)
+        for nodeid, kb in self.rss_kb.items():
+            metrics[f"benchrss/{nodeid}"] = kb
+        metrics["bench/total_s"] = round(sum(self.timings.values(), 0.0), 4)
+        outcomes = list(self.outcomes.values())
+        meta = {
+            "skipped": outcomes.count("skipped"),
+            "failed": outcomes.count("failed"),
+        } if outcomes else {}
+        return SessionRecord(
+            source="bench",
+            metrics=metrics,
+            scale=self.scale,
+            meta=meta,
+        ).stamp(environment_tags() if tags is None else tags)

@@ -1,13 +1,13 @@
 """``runner perf`` — the perf-history trajectory's command surface.
 
 Subcommands (all take ``--history PATH``; the default is
-``RuntimeConfig.perf_history``, i.e. ``REPRO_PERF_HISTORY`` or
 ``benchmarks/perf-history.jsonl``):
 
 - ``record`` — ingest measurement sources into the history
-  (``--bench`` timings files, ``--registry`` run-record dirs,
-  ``--trace`` telemetry JSONL files, ``--scrape host:port`` of a live
-  service).  Idempotent: sessions already present are skipped.
+  (``--registry`` run-record dirs, ``--trace`` telemetry JSONL files,
+  ``--scrape host:port`` of a live service).  Idempotent: sessions
+  already present are skipped.  Benchmark sessions arrive through
+  ``pytest benchmarks/ --update-bench`` instead.
 - ``gate``   — judge the newest session against the trailing baseline
   (median/MAD, ``--k-sigma``); exits nonzero on a regression or a
   vanished tracked metric.  The CI hook.
@@ -29,6 +29,7 @@ import statistics
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.config import DEFAULT_PERF_HISTORY
 from repro.common.tables import Table
 from repro.perfwatch.analysis import (
     GateParams,
@@ -39,18 +40,6 @@ from repro.perfwatch.store import PerfHistory, SessionRecord
 
 #: Rows of the full drift table printed before falling back to worst-N.
 _FULL_TABLE_LIMIT = 40
-
-
-def _resolve_history(arg: Optional[str]) -> str:
-    from repro.common.config import config
-
-    path = arg or config().perf_history
-    if not path:
-        raise SystemExit(
-            "perf: no history path (give --history or set "
-            "REPRO_PERF_HISTORY)"
-        )
-    return path
 
 
 def _gate_params(args: argparse.Namespace) -> GateParams:
@@ -85,9 +74,8 @@ def _add_gate_options(parser: argparse.ArgumentParser) -> None:
 
 def _add_history_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--history", metavar="PATH", default=None,
-        help="perf-history JSONL (default: REPRO_PERF_HISTORY or "
-             "benchmarks/perf-history.jsonl)",
+        "--history", metavar="PATH", default=DEFAULT_PERF_HISTORY,
+        help=f"perf-history JSONL (default: {DEFAULT_PERF_HISTORY})",
     )
 
 
@@ -100,10 +88,6 @@ def _cmd_record(argv: List[str]) -> int:
         description="Ingest measurement sources into the perf history.",
     )
     _add_history_option(parser)
-    parser.add_argument(
-        "--bench", metavar="PATH", action="append", default=[],
-        help="a BENCH_timings.json to ingest (repeatable)",
-    )
     parser.add_argument(
         "--registry", metavar="DIR", action="append", default=[],
         help="a run-registry directory to ingest (repeatable)",
@@ -119,15 +103,13 @@ def _cmd_record(argv: List[str]) -> int:
              "and ingest the latency quantiles (repeatable)",
     )
     args = parser.parse_args(argv)
-    if not (args.bench or args.registry or args.trace or args.scrape):
+    if not (args.registry or args.trace or args.scrape):
         parser.error("give at least one source "
-                     "(--bench/--registry/--trace/--scrape)")
+                     "(--registry/--trace/--scrape)")
     from repro.perfwatch import ingest
 
-    history = PerfHistory(_resolve_history(args.history))
+    history = PerfHistory(args.history)
     batches: List[Tuple[str, List[SessionRecord]]] = []
-    for path in args.bench:
-        batches.append((f"bench:{path}", ingest.from_bench_file(path)))
     for directory in args.registry:
         batches.append(
             (f"registry:{directory}", ingest.from_registry(directory))
@@ -157,7 +139,7 @@ def _cmd_record(argv: List[str]) -> int:
 # gate / report
 # ----------------------------------------------------------------------
 def _analyze(args: argparse.Namespace) -> PerfReport:
-    history = PerfHistory(_resolve_history(args.history))
+    history = PerfHistory(args.history)
     return detect_regressions(
         history, _gate_params(args), metric_prefix=args.metric
     )
@@ -208,7 +190,7 @@ def _cmd_report(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     report = _analyze(args)
     text = report.to_markdown() + _trend_markdown(
-        PerfHistory(_resolve_history(args.history)), args.metric
+        PerfHistory(args.history), args.metric
     )
     if args.out:
         pathlib.Path(args.out).write_text(text, encoding="utf-8")
@@ -290,7 +272,7 @@ def _cmd_trend(argv: List[str]) -> int:
         help="sparkline width in samples (default: 30)",
     )
     args = parser.parse_args(argv)
-    history = PerfHistory(_resolve_history(args.history))
+    history = PerfHistory(args.history)
     tables = _family_tables(history, args.metric, args.limit,
                             args.width)
     if not tables:

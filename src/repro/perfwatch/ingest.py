@@ -6,10 +6,6 @@ content hashes, so ``runner perf record`` may be pointed at the same
 source repeatedly (every CI run, say) and the history only grows by
 what is genuinely new:
 
-- :func:`from_bench_file` — ``benchmarks/BENCH_timings.json`` sessions
-  (both the historical float-per-test shape and the v2 records with
-  outcomes and peak RSS): per-test wall clock, per-test peak RSS, and
-  the session total.
 - :func:`from_run_record` / :func:`from_registry` — run-registry
   records: per-experiment durations and span rollups for ``run``/
   ``experiment`` kinds, latency/error summaries for ``service``
@@ -20,14 +16,15 @@ what is genuinely new:
   ``/v1/stats`` + ``/v1/metrics`` (the programmatic sibling of
   ``runner watch --once``).
 
-Only wall-clock-like quantities become samples; fidelity metrics
+Benchmark sessions need no adapter: the harness appends
+:meth:`~repro.perfwatch.bench.BenchRecorder.session` directly.  Only
+wall-clock-like quantities become samples; fidelity metrics
 (figure values, counter sets) already have their own drift gate and
 stay out of the perf trajectory.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Any, Dict, List, Optional, Union
 
@@ -39,59 +36,6 @@ TRACKED_SPANS = (
     "run", "experiment", "workload", "kernel_launch", "warm_cache",
     "service.execute",
 )
-
-
-# ----------------------------------------------------------------------
-# Benchmark sessions (BENCH_timings.json)
-# ----------------------------------------------------------------------
-def from_bench_record(record: Dict[str, Any]) -> SessionRecord:
-    """One BENCH_timings.json session record -> one perf session.
-
-    Handles both shapes: the historical ``tests: {nodeid: seconds}``
-    floats and the v2 records where ``outcomes``/``rss_kb`` ride along
-    (see :mod:`repro.perfwatch.bench`).  Only passed tests contribute
-    timing samples; non-passed outcomes are counted, not timed.
-    """
-    metrics: Dict[str, float] = {}
-    outcomes = record.get("outcomes") or {}
-    skipped = failed = 0
-    for nodeid, dur in (record.get("tests") or {}).items():
-        if outcomes.get(nodeid, "passed") == "passed":
-            metrics[f"bench/{nodeid}"] = float(dur)
-    for outcome in outcomes.values():
-        if outcome == "skipped":
-            skipped += 1
-        elif outcome != "passed":
-            failed += 1
-    for nodeid, kb in (record.get("rss_kb") or {}).items():
-        metrics[f"benchrss/{nodeid}"] = float(kb)
-    if "total_s" in record:
-        metrics["bench/total_s"] = float(record["total_s"])
-    meta: Dict[str, Any] = {}
-    if outcomes:
-        meta["skipped"] = skipped
-        meta["failed"] = failed
-    return SessionRecord(
-        source="bench",
-        metrics=metrics,
-        ts=str(record.get("timestamp", "")),
-        scale=str(record.get("scale", "")),
-        git=str(record.get("git", "")),
-        host=str(record.get("host", "")),
-        config=str(record.get("config", "")),
-        meta=meta,
-    ).stamp()
-
-
-def from_bench_file(
-    path: Union[str, pathlib.Path]
-) -> List[SessionRecord]:
-    """Every session of a BENCH_timings.json, in recorded order."""
-    body = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    if not isinstance(body, list):
-        raise ValueError(f"{path}: expected a JSON list of sessions")
-    return [from_bench_record(rec) for rec in body
-            if isinstance(rec, dict)]
 
 
 # ----------------------------------------------------------------------

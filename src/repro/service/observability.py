@@ -30,10 +30,10 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
 import time
 from typing import Any, Dict, List, Optional
 
+from repro.common.locks import publish
 from repro.telemetry import JsonlSink
 from repro.telemetry.metrics import MetricsRegistry, render_prometheus
 
@@ -219,7 +219,7 @@ class ServiceObservability:
         root spans are re-parented under it, so the tree reads
         ``<request id> -> service.execute -> experiment -> workload ->
         kernel_launch`` end to end.  Returns the written path, or None
-        (below threshold, no registry, no spans).
+        (below threshold, no registry, no spans, or the write failed).
         """
         if (
             self.registry_dir is None
@@ -254,26 +254,19 @@ class ServiceObservability:
             },
             "spans": stitched,
         }
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
         root = pathlib.Path(self.registry_dir)
         try:
-            root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=root, prefix=f"exemplar-{request_id}.", suffix=".tmp"
+            path = publish(
+                root / f"exemplar-{request_id}.json",
+                lambda tmp: pathlib.Path(tmp).write_text(text, "utf-8"),
             )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                os.replace(tmp, root / f"exemplar-{request_id}.json")
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
         except OSError:
             # Observability must never fail a served request.
             return None
         self.exemplars_written += 1
         self.metrics.inc("repro_service_slow_exemplars_total")
-        return root / f"exemplar-{request_id}.json"
+        return path
 
     # -- exposition ------------------------------------------------------
     def render(self, stats_snapshot: Dict[str, Any],

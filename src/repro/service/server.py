@@ -52,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import pathlib
 import signal
 import sys
 import threading
@@ -63,7 +64,16 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import telemetry
 from repro.api import SCHEMA_VERSION, ExperimentRequest
-from repro.common.config import SimScale, config
+from repro.common.config import (
+    DEFAULT_REGISTRY_DIR,
+    DEFAULT_SERVICE_HOST,
+    DEFAULT_SERVICE_PORT,
+    DEFAULT_SERVICE_QUEUE,
+    DEFAULT_SERVICE_SLOW_MS,
+    DEFAULT_SERVICE_WORKERS,
+    SimScale,
+    config,
+)
 from repro.service.observability import ServiceObservability
 
 #: Artifact-cache kind under which canonical response JSON persists.
@@ -244,20 +254,20 @@ class ServiceStats:
 class ExperimentService:
     """Asyncio HTTP daemon serving typed experiment requests.
 
-    Construction resolves every knob from
-    :func:`repro.common.config.config` unless given explicitly, so
-    ``REPRO_SERVICE_*`` environment variables configure a bare
-    ``ExperimentService()``.  ``execute_fn`` is the cold-execution
-    callable submitted to the pool, with the signature of
-    :func:`_execute` — tests substitute a lightweight fake.
+    The serving knobs default to the ``DEFAULT_SERVICE_*`` constants
+    (``runner serve`` flags override them); the cache and registry
+    directories default to :func:`repro.common.config.config`, and an
+    empty string turns either off.  ``execute_fn`` is the
+    cold-execution callable submitted to the pool, with the signature
+    of :func:`_execute` — tests substitute a lightweight fake.
     """
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        workers: Optional[int] = None,
-        queue_limit: Optional[int] = None,
+        host: str = DEFAULT_SERVICE_HOST,
+        port: int = DEFAULT_SERVICE_PORT,
+        workers: int = DEFAULT_SERVICE_WORKERS,
+        queue_limit: int = DEFAULT_SERVICE_QUEUE,
         cache_dir: Optional[str] = None,
         registry_dir: Optional[str] = None,
         execute_fn: Optional[Callable[
@@ -265,15 +275,13 @@ class ExperimentService:
             Tuple[bool, str, Optional[Dict[str, Any]]],
         ]] = None,
         access_log: Optional[str] = None,
-        slow_request_s: Optional[float] = None,
+        slow_request_s: float = DEFAULT_SERVICE_SLOW_MS / 1e3,
     ):
         cfg = config()
-        self.host = cfg.service_host if host is None else host
-        self.port = cfg.service_port if port is None else port
-        self.workers = cfg.service_workers if workers is None else workers
-        self.queue_limit = (
-            cfg.service_queue if queue_limit is None else queue_limit
-        )
+        self.host = host
+        self.port = port
+        self.workers = workers
+        self.queue_limit = queue_limit
         self.cache_dir = (
             (cfg.cache_dir if cfg.cache else None)
             if cache_dir is None else (cache_dir or None)
@@ -283,14 +291,8 @@ class ExperimentService:
         )
         self.stats = ServiceStats()
         self.obs = ServiceObservability(
-            access_log_path=(
-                cfg.service_access_log if access_log is None
-                else (access_log or None)
-            ),
-            slow_request_s=(
-                cfg.service_slow_ms / 1e3 if slow_request_s is None
-                else slow_request_s
-            ),
+            access_log_path=access_log,
+            slow_request_s=slow_request_s,
             registry_dir=self.registry_dir,
         )
         self._execute_fn = execute_fn or _execute
@@ -713,31 +715,21 @@ def spawn_service(**kwargs) -> Iterator[ExperimentService]:
 
 
 def serve(
-    host: Optional[str] = None,
-    port: Optional[int] = None,
-    workers: Optional[int] = None,
-    queue_limit: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    registry_dir: Optional[str] = None,
-    access_log: Optional[str] = None,
-    slow_request_s: Optional[float] = None,
     slo: Optional[str] = None,
     baseline: Optional[str] = None,
     save_baseline: Optional[str] = None,
+    **service_kwargs: Any,
 ) -> int:
     """Blocking entry point: run the daemon until SIGINT/SIGTERM.
 
+    ``service_kwargs`` construct the :class:`ExperimentService`.
     Returns a process exit code: 0 on clean shutdown with all gates
-    green; nonzero when a declared ``--slo`` objective or a
-    ``--baseline`` drift comparison fails over the traffic this
-    lifetime served.  ``save_baseline`` persists this lifetime's
-    ``service/*`` metrics as a baseline record for future gating.
+    green; 1 when a declared ``--slo`` objective or a ``--baseline``
+    drift comparison fails over the traffic this lifetime served; 2
+    when the baseline cannot be read.  ``save_baseline`` writes this
+    lifetime's ``service`` run record for future gating.
     """
-    service = ExperimentService(
-        host=host, port=port, workers=workers, queue_limit=queue_limit,
-        cache_dir=cache_dir, registry_dir=registry_dir,
-        access_log=access_log, slow_request_s=slow_request_s,
-    )
+    service = ExperimentService(**service_kwargs)
     try:
         asyncio.run(service.run_until_stopped())
     except KeyboardInterrupt:
@@ -759,28 +751,37 @@ def gate_service_run(
     Split from :func:`serve` so tests (and ``spawn_service`` users) can
     gate an in-process service without owning the blocking loop.  The
     service must already be stopped; its stats and histograms are
-    final.  Persists a ``service`` run record to the registry whenever
-    one is configured, so every gated lifetime is also archived.
+    final.  The lifetime becomes one ``service``
+    :class:`~repro.fidelity.registry.RunRecord`: archived in the
+    registry whenever one is configured (a failed save is reported,
+    not raised), written to ``save_baseline``, and compared against the
+    ``baseline`` record, a path or a registry run id.
     """
-    from repro.service.slo import check_slo, parse_slo_spec, save_service_baseline
+    from repro.fidelity.registry import RunRecord, RunRegistry
+    from repro.service.slo import check_slo, parse_slo_spec
 
     out = sys.stderr if out is None else out
     snapshot = service.stats.snapshot()
     metrics = service.obs.service_metrics(snapshot)
+    record = RunRecord(
+        kind="service", scale="service", experiments=["service"],
+        metrics=metrics,
+        meta={"snapshot": snapshot,
+              "access_log": service.obs.access_log_path or ""},
+    ).stamp()
     if service.registry_dir and snapshot["requests"]:
-        from repro.fidelity.registry import RunRecord, RunRegistry
-
-        record = RunRecord(
-            kind="service", scale="service", experiments=["service"],
-            metrics=metrics,
-            meta={"snapshot": snapshot,
-                  "access_log": service.obs.access_log_path or ""},
-        ).stamp()
-        path = RunRegistry(service.registry_dir).save(record)
-        print(f"[serve] service record -> {path}", file=out, flush=True)
+        try:
+            path = RunRegistry(service.registry_dir).save(record)
+        except OSError as exc:
+            print(f"[registry] error: {exc}", file=out, flush=True)
+        else:
+            print(f"[serve] service record -> {path}", file=out,
+                  flush=True)
     if save_baseline:
-        path = save_service_baseline(metrics, save_baseline)
-        print(f"[serve] baseline saved -> {path}", file=out, flush=True)
+        target = pathlib.Path(save_baseline)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(record.to_json(), encoding="utf-8")
+        print(f"[serve] baseline saved -> {target}", file=out, flush=True)
     exit_code = 0
     if slo:
         report = check_slo(metrics, parse_slo_spec(slo))
@@ -789,11 +790,17 @@ def gate_service_run(
         exit_code = max(exit_code, report.exit_code)
     if baseline:
         from repro.fidelity.drift import check_drift
-        from repro.service.slo import load_service_baseline
 
-        base = load_service_baseline(baseline)
+        try:
+            base = RunRegistry(
+                service.registry_dir or DEFAULT_REGISTRY_DIR
+            ).load(baseline)
+        except (OSError, ValueError) as exc:
+            print(f"[drift] error: {exc}", file=out, flush=True)
+            return 2
         report = check_drift(
-            metrics, base, baseline_label=baseline, scale="service",
+            metrics, base.metrics,
+            baseline_label=f"{base.kind}-{base.run_id}", scale="service",
             experiments=["service"],
         )
         print(report.to_table().render(), file=out, flush=True)

@@ -8,8 +8,8 @@ string (CLI-friendly)::
 
 Short names alias the flattened metric paths the observability layer
 already emits (:meth:`ServiceObservability.service_metrics`), so the
-same numbers feed ``--slo`` ceilings, ``--baseline`` drift comparisons,
-and the persisted ``service`` run record.
+same numbers feed ``--slo`` ceilings and the persisted ``service`` run
+record, which is also the ``--save-baseline`` / ``--baseline`` format.
 
 :func:`check_slo` returns the fidelity layer's own
 :class:`~repro.fidelity.drift.DriftReport` — one
@@ -24,9 +24,7 @@ golden-table drift.
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.fidelity.drift import DriftReport, MetricDrift
 
@@ -125,42 +123,3 @@ def check_slo(
         experiments=["service"], skipped=[],
     )
 
-
-# ----------------------------------------------------------------------
-# Baseline persistence (for `runner serve --baseline` drift gating)
-# ----------------------------------------------------------------------
-def save_service_baseline(
-    metrics: Dict[str, float], path: str
-) -> pathlib.Path:
-    """Persist one lifetime's ``service/*`` metrics as a baseline file."""
-    target = pathlib.Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps({"v": 1, "kind": "service-baseline",
-                    "metrics": metrics},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return target
-
-
-def load_service_baseline(path: str) -> Dict[str, float]:
-    """Baseline metrics from a baseline file *or* a run-registry record.
-
-    Accepts either a file written by :func:`save_service_baseline` or a
-    full :class:`~repro.fidelity.registry.RunRecord` JSON (the service
-    archives one per lifetime) — both carry a ``metrics`` mapping.
-    """
-    body = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    metrics = body.get("metrics")
-    if not isinstance(metrics, dict):
-        raise ValueError(f"{path} has no 'metrics' mapping")
-    return {str(k): float(v) for k, v in metrics.items()}
-
-
-def baseline_metrics_or_none(path: str) -> Optional[Dict[str, float]]:
-    """``load_service_baseline`` that returns None on a missing file."""
-    try:
-        return load_service_baseline(path)
-    except FileNotFoundError:
-        return None

@@ -34,7 +34,7 @@ single-threaded per process, and the parallel runner path uses
 parent (see :func:`repro.core.features.warm_workload`).
 
 Two companion modules build on the stream: :mod:`.profile` attributes
-wall time to spans (self vs children, ``tracemalloc`` peak gauges via
+wall time to spans (self vs children, a peak-RSS gauge via
 ``start(profile=True)``) and :mod:`.chrome` exports any JSONL trace to
 the Chrome Trace Event format (:func:`trace_to_chrome`).
 """
@@ -269,7 +269,7 @@ def start(
     ``trace_path`` additionally attaches a :class:`JsonlSink`.  With
     neither, events are aggregated in-process only (for
     :func:`summary`).  ``profile=True`` attaches span self-time
-    attribution and a ``tracemalloc`` peak-memory gauge (see
+    attribution and a peak-RSS gauge (see
     :mod:`repro.telemetry.profile`).
     """
     global _STATE, _ATEXIT_REGISTERED

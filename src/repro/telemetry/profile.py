@@ -5,9 +5,9 @@ Two consumers, one data model:
 - **Live** — ``telemetry.start(profile=True)`` attaches a
   :class:`SessionProfile` to the session.  Span exits then additionally
   record *self* time (wall time minus the time spent in child spans),
-  and ``stop()`` folds a ``tracemalloc`` peak-memory gauge into the
-  session gauges.  The cost is confined to span close while profiling
-  is on; the disabled telemetry path is untouched.
+  and ``stop()`` folds the process's peak RSS into the session gauges.
+  The cost is confined to span close while profiling is on; the
+  disabled telemetry path is untouched, and no allocation tracer runs.
 
 - **Offline** — :func:`aggregate_spans` rebuilds the same self-vs-child
   rollup from any parsed JSONL trace (or :class:`MemorySink` event
@@ -21,7 +21,7 @@ by self time — the "where did the wall clock actually go" view.
 from __future__ import annotations
 
 import dataclasses
-import tracemalloc
+import resource
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.common.tables import Table
@@ -30,15 +30,11 @@ from repro.common.tables import Table
 class SessionProfile:
     """Per-session profiling state (attached by ``telemetry.start``)."""
 
-    __slots__ = ("self_stats", "_owns_tracemalloc")
+    __slots__ = ("self_stats",)
 
-    def __init__(self, trace_memory: bool = True):
+    def __init__(self):
         #: name -> [count, self_seconds]
         self.self_stats: Dict[str, List[float]] = {}
-        self._owns_tracemalloc = False
-        if trace_memory and not tracemalloc.is_tracing():
-            tracemalloc.start()
-            self._owns_tracemalloc = True
 
     def record(self, name: str, self_s: float) -> None:
         stat = self.self_stats.setdefault(name, [0, 0.0])
@@ -46,14 +42,9 @@ class SessionProfile:
         stat[1] += self_s
 
     def finish(self) -> Dict[str, float]:
-        """Final gauges (peak memory); releases tracemalloc if owned."""
-        gauges: Dict[str, float] = {}
-        if tracemalloc.is_tracing():
-            _, peak = tracemalloc.get_traced_memory()
-            gauges["profile.mem.peak_kb"] = round(peak / 1024.0, 1)
-            if self._owns_tracemalloc:
-                tracemalloc.stop()
-        return gauges
+        """Final gauges: the process's peak RSS (Linux ``ru_maxrss``, kB)."""
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return {"profile.mem.peak_rss_kb": float(peak)}
 
 
 @dataclasses.dataclass

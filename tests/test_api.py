@@ -220,16 +220,17 @@ class TestReportLayerEncoding:
 
 
 class TestRunnerSubcommands:
-    def test_flat_invocation_aliases_to_run(self, capsys):
+    def test_flat_invocation_is_a_usage_error(self, capsys):
         from repro.experiments.runner import main
 
-        assert main(["table1", "--scale", "tiny", "--registry", "off"]) == 0
-        flat = capsys.readouterr().out
+        assert main(["table1", "--scale", "tiny", "--registry", "off"]) == 2
+        flat = capsys.readouterr()
+        assert flat.out == ""
+        assert flat.err.startswith("usage: ") and "run|serve" in flat.err
+        assert main([]) == 2
         assert main(["run", "table1", "--scale", "tiny",
                      "--registry", "off"]) == 0
-        sub = capsys.readouterr().out
-        assert "Table I" in flat
-        assert flat == sub
+        assert "Table I" in capsys.readouterr().out
 
     def test_unknown_experiment_still_raises_keyerror(self):
         from repro.experiments.runner import main

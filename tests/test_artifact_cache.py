@@ -197,12 +197,12 @@ def test_runner_warm_cache_skips_executions(capsys):
     from repro.experiments import runner
 
     features.clear_caches()
-    runner.main(["fig1", "--scale", "tiny"])  # fills the artifact cache
+    runner.main(["run", "fig1", "--scale", "tiny"])  # fills the artifact cache
 
     # Fresh process simulated by dropping the in-memory memo.
     features.clear_caches()
     features.EXECUTIONS.clear()
-    runner.main(["fig1", "--scale", "tiny"])
+    runner.main(["run", "fig1", "--scale", "tiny"])
     capsys.readouterr()
     assert features.EXECUTIONS == []
 
@@ -216,7 +216,7 @@ def test_runner_no_cache_flag(tmp_path, capsys):
     try:
         features.clear_caches()
         features.EXECUTIONS.clear()
-        runner.main(["table1", "--scale", "tiny", "--no-cache"])
+        runner.main(["run", "table1", "--scale", "tiny", "--no-cache"])
         capsys.readouterr()
         assert artifacts.get_artifact_cache() is None
         assert not (tmp_path / "r").exists()
@@ -228,8 +228,8 @@ def test_runner_no_cache_flag(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # Each CPU workload executes once: every CPU experiment reads the artifact
 # ----------------------------------------------------------------------
-_EXT_ARGV = ["ext_sharing_size", "ext_workingsets", "ext_coherence", "fig10",
-             "--scale", "tiny"]
+_EXT_ARGV = ["run", "ext_sharing_size", "ext_workingsets", "ext_coherence",
+             "fig10", "--scale", "tiny"]
 
 
 @contextlib.contextmanager
@@ -285,7 +285,7 @@ def test_stale_or_truncated_cpu_entry_reexecutes_once(ext_cold):
     re-executes that workload once, rewrites the entry, and renders the
     same tables."""
     cache, cold_out, _ = ext_cold
-    argv = ["ext_sharing_size", "--scale", "tiny"]
+    argv = ["run", "ext_sharing_size", "--scale", "tiny"]
     with _fresh_process(cache):
         expected = _run(argv)
     assert expected in cold_out

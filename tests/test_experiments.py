@@ -249,14 +249,14 @@ class TestTypedAPI:
 class TestRunnerCLI:
     def test_cli_runs_one_experiment(self, capsys):
         from repro.experiments.runner import main
-        assert main(["table1", "--scale", "tiny"]) == 0
+        assert main(["run", "table1", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "Table I" in out
 
     def test_cli_rejects_unknown(self):
         from repro.experiments.runner import main
         with pytest.raises(KeyError):
-            main(["fig99", "--scale", "tiny"])
+            main(["run", "fig99", "--scale", "tiny"])
 
     def test_jobs_with_no_cache_is_parser_error(self, capsys):
         """--jobs would warm a cache --no-cache just disabled: refuse."""
@@ -264,7 +264,8 @@ class TestRunnerCLI:
         from repro.experiments.runner import main
         before = artifacts.get_artifact_cache()
         with pytest.raises(SystemExit):
-            main(["table1", "--scale", "tiny", "--jobs", "2", "--no-cache"])
+            main(["run", "table1", "--scale", "tiny", "--jobs", "2",
+                  "--no-cache"])
         err = capsys.readouterr().err
         assert "--no-cache" in err
         # The rejected invocation must not have touched global state.
@@ -275,7 +276,8 @@ class TestRunnerCLI:
         from repro.experiments.runner import main
         before = artifacts.get_artifact_cache()
         try:
-            assert main(["table1", "--scale", "tiny", "--no-cache"]) == 0
+            assert main(["run", "table1", "--scale", "tiny",
+                         "--no-cache"]) == 0
             assert artifacts.get_artifact_cache() is None
             assert "Table I" in capsys.readouterr().out
         finally:
@@ -286,7 +288,7 @@ class TestRunnerCLI:
         from repro.experiments.runner import main
         path = str(tmp_path / "run.jsonl")
         assert main(
-            ["table1", "--scale", "tiny", "--trace", path, "--metrics"]
+            ["run", "table1", "--scale", "tiny", "--trace", path, "--metrics"]
         ) == 0
         out = capsys.readouterr().out
         assert "Telemetry: spans" in out
@@ -300,7 +302,7 @@ class TestRunnerCLI:
         from repro.experiments.runner import main
         path = str(tmp_path / "env.jsonl")
         monkeypatch.setenv("REPRO_TRACE", path)
-        assert main(["table1", "--scale", "tiny"]) == 0
+        assert main(["run", "table1", "--scale", "tiny"]) == 0
         events = telemetry.parse_trace(path)
         assert any(e["ev"] == "span_open" and e["name"] == "run"
                    for e in events)

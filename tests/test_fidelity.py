@@ -273,7 +273,7 @@ class TestRunnerGate:
 
         reg = tmp_path / "reg"
         rc = main([
-            "fig3", "--scale", "small",
+            "run", "fig3", "--scale", "small",
             "--registry", str(reg),
             "--baseline", "paper",
             "--save-baseline", str(tmp_path / "base.json"),
@@ -291,7 +291,7 @@ class TestRunnerGate:
         from repro.experiments.runner import main
 
         base = tmp_path / "base.json"
-        rc = main(["fig3", "--scale", "small", "--registry", "off",
+        rc = main(["run", "fig3", "--scale", "small", "--registry", "off",
                    "--save-baseline", str(base)])
         assert rc == 0
         body = json.loads(base.read_text())
@@ -299,7 +299,7 @@ class TestRunnerGate:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(body))
         capsys.readouterr()
-        rc = main(["fig3", "--scale", "small", "--registry", "off",
+        rc = main(["run", "fig3", "--scale", "small", "--registry", "off",
                    "--baseline", str(bad)])
         out = capsys.readouterr().out
         assert rc == 1
@@ -310,9 +310,9 @@ class TestRunnerGate:
         from repro.experiments.runner import main
 
         base = tmp_path / "base.json"
-        assert main(["fig3", "--scale", "tiny", "--registry", "off",
+        assert main(["run", "fig3", "--scale", "tiny", "--registry", "off",
                      "--save-baseline", str(base)]) == 0
-        assert main(["fig3", "--scale", "small", "--registry", "off",
+        assert main(["run", "fig3", "--scale", "small", "--registry", "off",
                      "--baseline", str(base)]) == 2
 
     def test_no_session_leaks(self):

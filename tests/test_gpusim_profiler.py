@@ -297,7 +297,7 @@ class TestRunnerCli:
         reg = tmp_path / "reg"
         base = tmp_path / "base.json"
         rc = runner.main([
-            "fig1", "--scale", "tiny", "--registry", str(reg),
+            "run", "fig1", "--scale", "tiny", "--registry", str(reg),
             "--gpu-profile", "--save-baseline", str(base),
         ])
         out = capsys.readouterr().out
@@ -327,11 +327,11 @@ class TestRunnerCli:
 
         base = tmp_path / "base.json"
         assert runner.main([
-            "fig1", "--scale", "tiny", "--registry", "off",
+            "run", "fig1", "--scale", "tiny", "--registry", "off",
             "--gpu-profile", "--save-baseline", str(base),
         ]) == 0
         assert runner.main([
-            "fig1", "--scale", "tiny", "--registry", "off",
+            "run", "fig1", "--scale", "tiny", "--registry", "off",
             "--gpu-profile", "--baseline", str(base),
         ]) == 0
         record = json.loads(base.read_text())
@@ -342,7 +342,7 @@ class TestRunnerCli:
         tampered.write_text(json.dumps(record))
         capsys.readouterr()
         assert runner.main([
-            "fig1", "--scale", "tiny", "--registry", "off",
+            "run", "fig1", "--scale", "tiny", "--registry", "off",
             "--gpu-profile", "--baseline", str(tampered),
         ]) == 1
         assert "fail" in capsys.readouterr().out

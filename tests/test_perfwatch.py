@@ -258,27 +258,28 @@ class TestChangepoints:
         assert scan_changepoints(history.series(), GateParams()) == []
 
 
-def bench_file(path, sessions):
-    """Write a BENCH_timings.json-shaped file."""
-    path.write_text(json.dumps(sessions, indent=2) + "\n")
-    return path
+def bench_session(ts, a, b):
+    """A ``bench`` session shaped like ``BenchRecorder.session()``."""
+    metrics = {
+        "bench/benchmarks/test_bench_x.py::test_a": a,
+        "bench/benchmarks/test_bench_x.py::test_b": b,
+        "bench/total_s": round(a + b, 4),
+    }
+    return SessionRecord(source="bench", metrics=metrics, ts=ts,
+                         scale="small").stamp()
 
 
-def clean_bench_sessions(n=6):
-    out = []
+def bench_history(path, n=6):
+    """A history of ``n`` clean bench sessions (1% jitter)."""
+    sessions = []
     for i in range(n):
         jitter = (i % 3 - 1) / 100.0
-        tests = {
-            "benchmarks/test_bench_x.py::test_a": round(1.0 + jitter, 4),
-            "benchmarks/test_bench_x.py::test_b": round(2.0 - jitter, 4),
-        }
-        out.append({
-            "timestamp": f"2026-07-{i + 1:02d}T00:00:00+0000",
-            "scale": "small",
-            "total_s": round(sum(tests.values()), 4),
-            "tests": tests,
-        })
-    return out
+        sessions.append(bench_session(
+            f"2026-07-{i + 1:02d}T00:00:00+0000",
+            round(1.0 + jitter, 4), round(2.0 - jitter, 4),
+        ))
+    PerfHistory(path).append_many(sessions)
+    return str(path)
 
 
 class TestGateCLI:
@@ -292,39 +293,35 @@ class TestGateCLI:
     def test_clean_replay_passes_and_injected_10x_trips(
         self, tmp_path, capsys
     ):
-        sessions = clean_bench_sessions()
-        bench = bench_file(tmp_path / "BENCH.json", sessions)
-        history = str(tmp_path / "perf-history.jsonl")
-        assert self.run("perf", "record", "--bench", str(bench),
-                        "--history", history) == 0
+        history = bench_history(tmp_path / "perf-history.jsonl")
         assert self.run("perf", "gate", "--history", history,
                         "--k-sigma", "4") == 0
         out = capsys.readouterr()
         assert "PASS" in out.out
 
         # Tamper: one more session, every timing 10x the median.
-        slow = dict(sessions[-1])
-        slow["timestamp"] = "2026-08-01T00:00:00+0000"
-        slow["tests"] = {k: round(v * 10, 4)
-                         for k, v in sessions[-1]["tests"].items()}
-        slow["total_s"] = round(sum(slow["tests"].values()), 4)
-        tampered = bench_file(tmp_path / "TAMPERED.json",
-                              sessions + [slow])
-        assert self.run("perf", "record", "--bench", str(tampered),
-                        "--history", history) == 0
+        assert PerfHistory(history).append(
+            bench_session("2026-08-01T00:00:00+0000", 10.0, 20.0)
+        )
         assert self.run("perf", "gate", "--history", history,
                         "--k-sigma", "4") == 1
         out = capsys.readouterr()
         assert "FAIL" in out.out and "fail" in out.out
 
     def test_record_is_idempotent(self, tmp_path, capsys):
-        bench = bench_file(tmp_path / "BENCH.json",
-                           clean_bench_sessions())
+        from repro.fidelity import RunRecord, RunRegistry
+
+        registry = tmp_path / "runs"
+        RunRegistry(registry).save(RunRecord(
+            kind="run", scale="small", experiments=["fig1"],
+            metrics={"fig1/x": 1.0}, durations={"fig1": 2.5},
+        ))
         history = str(tmp_path / "h.jsonl")
-        self.run("perf", "record", "--bench", str(bench),
-                 "--history", history)
+        assert self.run("perf", "record", "--registry", str(registry),
+                        "--history", history) == 0
         before = (tmp_path / "h.jsonl").read_bytes()
-        self.run("perf", "record", "--bench", str(bench),
+        assert before
+        self.run("perf", "record", "--registry", str(registry),
                  "--history", history)
         assert (tmp_path / "h.jsonl").read_bytes() == before
 
@@ -341,22 +338,14 @@ class TestGateCLI:
         assert self.run("perf", "bogus") == 2
 
     def test_trend_renders_sparklines(self, tmp_path, capsys):
-        bench = bench_file(tmp_path / "BENCH.json",
-                           clean_bench_sessions())
-        history = str(tmp_path / "h.jsonl")
-        self.run("perf", "record", "--bench", str(bench),
-                 "--history", history)
+        history = bench_history(tmp_path / "h.jsonl")
         assert self.run("perf", "trend", "--history", history) == 0
         out = capsys.readouterr().out
         assert "Perf trend: bench/*" in out
         assert any(ch in out for ch in "▁▂▃▄▅▆▇█")
 
     def test_report_markdown_is_deterministic(self, tmp_path, capsys):
-        bench = bench_file(tmp_path / "BENCH.json",
-                           clean_bench_sessions())
-        history = str(tmp_path / "h.jsonl")
-        self.run("perf", "record", "--bench", str(bench),
-                 "--history", history)
+        history = bench_history(tmp_path / "h.jsonl")
         out_a, out_b = tmp_path / "a.md", tmp_path / "b.md"
         assert self.run("perf", "report", "--history", history,
                         "--out", str(out_a)) == 0

@@ -1,22 +1,15 @@
 """The benchmark-session recorder behind benchmarks/conftest.py.
 
-Outcome tracking, peak-RSS sampling, the lock-protected JSON-array
-append (including genuinely concurrent cross-process appends), and the
-dual-write into the perfwatch history.
+Outcome tracking, peak-RSS sampling, and the ``bench`` session that
+``pytest benchmarks/ --update-bench`` appends to the perf history.
 """
 
-import json
-from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
-from repro.perfwatch.bench import (
-    BENCH_SCHEMA_VERSION,
-    BenchRecorder,
-    append_bench_record,
-    dual_write_history,
-    read_bench_history,
-)
+from repro.perfwatch.bench import BenchRecorder
 from repro.perfwatch.store import PerfHistory
+
+TAGS = {"git": "abc", "host": "h", "config": "c0ffee00"}
 
 
 def report(nodeid, when="call", outcome="passed", duration=1.0):
@@ -61,21 +54,6 @@ class TestBenchRecorder:
         # a timing was recorded at call time, but the verdict stands
         assert "t::a" in recorder.timings
 
-    def test_record_schema(self):
-        recorder = BenchRecorder(scale="medium")
-        recorder.observe(report("t::b", duration=2.0))
-        recorder.observe(report("t::a", duration=1.0))
-        rec = recorder.record(
-            {"git": "abc", "host": "ci", "config": "cafe0123"}
-        )
-        assert rec["schema"] == BENCH_SCHEMA_VERSION
-        assert rec["scale"] == "medium"
-        assert rec["git"] == "abc" and rec["config"] == "cafe0123"
-        assert rec["total_s"] == 3.0
-        assert list(rec["tests"]) == ["t::a", "t::b"]  # sorted
-        assert set(rec["rss_kb"]) == {"t::a", "t::b"}
-        assert rec["timestamp"]
-
     def test_rss_is_monotone_within_a_session(self):
         recorder = BenchRecorder(scale="small")
         recorder.observe(report("t::a"))
@@ -84,60 +62,47 @@ class TestBenchRecorder:
         del ballast
         assert recorder.rss_kb["t::b"] >= recorder.rss_kb["t::a"]
 
+    def test_session_metric_names_and_meta(self):
+        recorder = BenchRecorder(scale="medium")
+        recorder.observe(report("t::b", duration=2.0))
+        recorder.observe(report("t::a", duration=1.0))
+        recorder.observe(report("t::bad", outcome="failed"))
+        recorder.observe(report("t::skip", when="setup",
+                                outcome="skipped"))
+        # Passed its call, failed its teardown: counted, not timed,
+        # though its call time stays in the total.
+        recorder.observe(report("t::td", duration=0.5))
+        recorder.observe(report("t::td", when="teardown",
+                                outcome="failed"))
+        session = recorder.session(TAGS)
+        assert session.source == "bench" and session.scale == "medium"
+        assert (session.git, session.host, session.config) == (
+            "abc", "h", "c0ffee00")
+        assert session.ts and session.session == session.content_key()
+        assert sorted(session.metrics) == [
+            "bench/t::a", "bench/t::b", "bench/total_s",
+            "benchrss/t::a", "benchrss/t::b", "benchrss/t::bad",
+            "benchrss/t::td",
+        ]
+        assert session.metrics["bench/t::a"] == 1.0
+        assert session.metrics["bench/total_s"] == 3.5
+        assert session.meta == {"skipped": 1, "failed": 2}
 
-class TestAppend:
-    def test_append_creates_and_extends(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        first = append_bench_record(path, {"total_s": 1.0})
-        assert len(first) == 1
-        second = append_bench_record(path, {"total_s": 2.0})
-        assert [r["total_s"] for r in second] == [1.0, 2.0]
-        assert read_bench_history(path) == second
-        assert not path.with_name("BENCH.json.lock").exists()
-
-    def test_corrupt_file_resets_instead_of_crashing(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        path.write_text("{not json")
-        history = append_bench_record(path, {"total_s": 1.0})
-        assert [r["total_s"] for r in history] == [1.0]
-
-    def test_read_missing_is_empty(self, tmp_path):
-        assert read_bench_history(tmp_path / "nope.json") == []
-
-
-def _hammer(path, worker, n):
-    for i in range(n):
-        append_bench_record(path, {"worker": worker, "seq": i})
-    return worker
-
-
-class TestConcurrentAppend:
-    def test_parallel_sessions_all_land(self, tmp_path):
-        path = tmp_path / "BENCH.json"
-        procs, per = 6, 2
-        with ProcessPoolExecutor(max_workers=procs) as pool:
-            futures = [pool.submit(_hammer, path, w, per)
-                       for w in range(procs)]
-            assert sorted(f.result() for f in futures) == list(
-                range(procs)
-            )
-        history = json.loads(path.read_text())
-        assert len(history) == procs * per
-        seen = {(r["worker"], r["seq"]) for r in history}
-        assert seen == {(w, i) for w in range(procs)
-                        for i in range(per)}
+    def test_session_defaults_to_environment_tags(self):
+        recorder = BenchRecorder()
+        recorder.observe(report("t::a"))
+        session = recorder.session()
+        assert session.host and len(session.config) == 8
 
 
 class TestDualWrite:
+    """The session ``--update-bench`` appends to the perf history."""
+
     def test_bench_session_lands_in_history(self, tmp_path):
         recorder = BenchRecorder(scale="small")
         recorder.observe(report("t::a", duration=1.5))
-        rec = recorder.record({"git": "abc", "host": "h",
-                               "config": "c0ffee00"})
         history_path = tmp_path / "perf-history.jsonl"
-        assert dual_write_history(history_path, rec,
-                                  tags={"git": "abc", "host": "h",
-                                        "config": "c0ffee00"})
+        assert PerfHistory(history_path).append(recorder.session(TAGS))
         [session] = PerfHistory(history_path).sessions()
         assert session.source == "bench"
         assert session.metrics["bench/t::a"] == 1.5
@@ -148,12 +113,11 @@ class TestDualWrite:
     def test_dual_write_is_idempotent(self, tmp_path):
         recorder = BenchRecorder(scale="small")
         recorder.observe(report("t::a"))
-        rec = recorder.record()
-        history_path = tmp_path / "h.jsonl"
-        tags = {"git": "g", "host": "h", "config": "cfg"}
-        assert dual_write_history(history_path, rec, tags)
-        assert not dual_write_history(history_path, rec, tags)
-        assert len(PerfHistory(history_path).sessions()) == 1
+        session = recorder.session(TAGS)
+        history = PerfHistory(tmp_path / "h.jsonl")
+        assert history.append(session)
+        assert not history.append(session)
+        assert len(history.sessions()) == 1
 
     def test_failed_tests_ride_in_meta_not_metrics(self, tmp_path):
         recorder = BenchRecorder(scale="small")
@@ -161,9 +125,8 @@ class TestDualWrite:
         recorder.observe(report("t::bad", outcome="failed"))
         recorder.observe(report("t::skip", when="setup",
                                 outcome="skipped"))
-        rec = recorder.record()
         history_path = tmp_path / "h.jsonl"
-        assert dual_write_history(history_path, rec, tags={})
+        assert PerfHistory(history_path).append(recorder.session({}))
         [session] = PerfHistory(history_path).sessions()
         timed = [m for m in session.metrics
                  if m.startswith("bench/") and m != "bench/total_s"]

@@ -22,7 +22,7 @@ from repro.telemetry import (
     trace_to_chrome,
 )
 from repro.telemetry.chrome import chrome_events
-from repro.telemetry.profile import SessionProfile, live_aggregate
+from repro.telemetry.profile import live_aggregate
 
 
 @pytest.fixture(autouse=True)
@@ -65,18 +65,21 @@ class TestLiveProfile:
         )
 
     def test_peak_memory_gauge(self):
+        import resource
+        import tracemalloc
+
         telemetry.start(profile=True)
-        ballast = [bytes(256) for _ in range(100)]
+        assert not tracemalloc.is_tracing()  # no allocation tracer
         snap = telemetry.stop()
-        del ballast
-        assert snap["gauges"]["profile.mem.peak_kb"] > 0
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert 0 < snap["gauges"]["profile.mem.peak_rss_kb"] <= peak
 
     def test_unprofiled_session_has_no_self_stats(self):
         telemetry.start()
         _nested_workload()
         snap = telemetry.stop()
         assert snap["self_stats"] == {}
-        assert "profile.mem.peak_kb" not in snap["gauges"]
+        assert "profile.mem.peak_rss_kb" not in snap["gauges"]
 
     def test_summary_gains_hot_span_table_only_when_profiling(self):
         telemetry.start(profile=True)
@@ -84,19 +87,6 @@ class TestLiveProfile:
         titles = [t.title for t in telemetry.summary()]
         assert any("hot spans" in t for t in titles)
         telemetry.stop()
-
-    def test_session_profile_respects_foreign_tracemalloc(self):
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            profile = SessionProfile()
-            assert not profile._owns_tracemalloc
-            gauges = profile.finish()
-            assert "profile.mem.peak_kb" in gauges
-            assert tracemalloc.is_tracing()  # not ours to stop
-        finally:
-            tracemalloc.stop()
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ import pytest
 
 from repro.api import ExperimentRequest, ExperimentResponse
 from repro.common.config import SimScale
+from repro.fidelity.registry import RunRecord, RunRegistry
 from repro.service import (
     RetryPolicy,
     ServiceClient,
@@ -37,12 +38,7 @@ from repro.service import (
     run_load,
     spawn_service,
 )
-from repro.service.slo import (
-    check_slo,
-    load_service_baseline,
-    parse_slo_spec,
-    save_service_baseline,
-)
+from repro.service.slo import check_slo, parse_slo_spec
 from repro.telemetry.metrics import (
     exposition_value,
     histogram_buckets,
@@ -174,8 +170,13 @@ class TestRequestTracing:
     def test_cold_request_persists_stitched_span_tree(self, tmp_path):
         """Acceptance: exemplar root = service request id, leaves =
         worker kernel-launch spans (fig3 runs real GPU workloads)."""
+        from repro.core import features
+
         registry = tmp_path / "registry"
         req = ExperimentRequest("fig3", SimScale.TINY)
+        # The forked worker inherits this process's memoized traces; a
+        # memo hit would run no workload and emit no workload span.
+        features.clear_caches()
         with spawn_service(
             port=0, workers=1, cache_dir=str(tmp_path / "cache"),
             registry_dir=str(registry), slow_request_s=0.0,
@@ -334,21 +335,25 @@ class TestSloGate:
 
     def test_baseline_roundtrip_and_drift_failure(self, tmp_path):
         service = self._run_traffic(tmp_path)
-        metrics = service.obs.service_metrics(service.stats.snapshot())
         base_path = tmp_path / "baseline.json"
-        save_service_baseline(metrics, str(base_path))
-        assert load_service_baseline(str(base_path)) == metrics
-        # Same lifetime vs its own baseline: zero drift, gate green.
+        # --save-baseline writes the lifetime's service run record...
+        assert gate_service_run(service, save_baseline=str(base_path)) == 0
+        record = RunRecord.from_json(base_path.read_text(encoding="utf-8"))
+        assert record.kind == "service"
+        assert record.metrics == service.obs.service_metrics(
+            service.stats.snapshot()
+        )
+        # ...and --baseline by path gates against it: zero drift.
         assert gate_service_run(service, baseline=str(base_path)) == 0
         # Inject a latency regression into the comparison by shrinking
         # the baseline's latency expectations far below what was
         # actually measured.
-        tampered = {
+        record.metrics = {
             k: (v / 1e4 if k.endswith("_ms") else v)
-            for k, v in metrics.items()
+            for k, v in record.metrics.items()
         }
         tampered_path = tmp_path / "tampered.json"
-        save_service_baseline(tampered, str(tampered_path))
+        tampered_path.write_text(record.stamp().to_json(), encoding="utf-8")
         assert gate_service_run(
             service, baseline=str(tampered_path)
         ) == 1
@@ -356,9 +361,23 @@ class TestSloGate:
     def test_baseline_loads_service_run_records(self, tmp_path):
         service = self._run_traffic(tmp_path)
         assert gate_service_run(service) == 0
-        record = next((tmp_path / "registry").glob("service-*.json"))
-        base = load_service_baseline(str(record))
-        assert base["service/requests"] >= 4
+        [record] = RunRegistry(tmp_path / "registry").records("service")
+        assert record.metrics["service/requests"] >= 4
+        # A registry run id resolves the way `run --baseline` does.
+        assert gate_service_run(service, baseline=record.run_id) == 0
+
+    def test_unreadable_baseline_exits_2(self, tmp_path, capsys):
+        service = self._run_traffic(tmp_path, n_warm=0)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "v": 1, "kind": "service-baseline",
+            "metrics": {"service/requests": 1.0},
+        }))
+        assert gate_service_run(service, baseline=str(old)) == 2
+        assert gate_service_run(service, baseline="0123456789abcdef") == 2
+        err = capsys.readouterr().err
+        assert err.count("[drift] error: ") == 2
+        assert "incomplete run record" in err
 
 
 # ----------------------------------------------------------------------
@@ -534,6 +553,7 @@ class TestCliSmoke:
         proc, host, port = self._serve(
             tmp_path, "--slo", "warm_p99_ms=60000,error_rate=0.0",
             "--access-log", str(tmp_path / "access.jsonl"),
+            "--save-baseline", str(tmp_path / "base.json"),
         )
         try:
             code, text = self._drive_and_stop(proc, host, port)
@@ -549,6 +569,11 @@ class TestCliSmoke:
         )
         assert buckets and buckets[-1][1] == 1
         assert (tmp_path / "access.jsonl").exists()
+        base = RunRecord.from_json(
+            (tmp_path / "base.json").read_text(encoding="utf-8")
+        )
+        assert base.kind == "service"
+        assert base.metrics["service/warm_count"] == 1.0
 
     def test_smoke_slo_tamper_fails_nonzero(self, tmp_path):
         proc, host, port = self._serve(

@@ -141,7 +141,7 @@ class TestReport:
 
     def test_runner_report_command(self, capsys):
         from repro.experiments.runner import main
-        assert main(["report", "--scale", "tiny"]) == 0
+        assert main(["run", "report", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "# Workload characterization report" in out
         assert "streamcluster(R, P)" in out
