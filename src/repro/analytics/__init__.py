@@ -8,14 +8,14 @@ production runs instead, *bit-identical* to those loops:
 - :mod:`repro.analytics.reuse` — LRU stack distances via the offline
   previous-occurrence + sort-based counting algorithm (no per-access
   Fenwick loop).
-- :mod:`repro.analytics.cache` — set-associative LRU simulation that
-  stable-sorts accesses by set index and advances every set one access
-  per vectorized round through a way matrix.
-- :mod:`repro.analytics.sharing` — residency-windowed sharing on the
-  way-matrix engine, with per-way sharer bitmasks.
+- :mod:`repro.analytics.cache` — the one set-associative LRU kernel:
+  per-set stack distances over the set-sorted stream (an access hits an
+  ``A``-way set iff its per-set distance is below ``A``), for every LRU
+  cache of both simulators and the residency-windowed sharing analysis.
 - :mod:`repro.analytics.coherence` — private-cache MSI simulation
-  vectorized across sets (all protocol interactions are line-local,
-  hence set-local).
+  vectorized across sets through a way matrix (all protocol
+  interactions are line-local, hence set-local; invalidations make it
+  no stack algorithm).
 - :mod:`repro.analytics.chunked` — chunk-at-a-time stack distances and
   whole-run sharing statistics over columnar trace stores.
 
@@ -27,7 +27,7 @@ oracles; ``tests/test_analytics_equivalence.py`` and
 random and adversarial traces at several chunk sizes.
 """
 
-from repro.analytics.cache import batch_worthwhile, simulate_lru_sets
+from repro.analytics.cache import SetLRU
 from repro.analytics.chunked import (
     StreamingReuse,
     StreamingSharing,
@@ -39,7 +39,6 @@ from repro.analytics.coherence import (
     simulate_coherent_caches_batch,
 )
 from repro.analytics.reuse import count_earlier_leq, previous_occurrence
-from repro.analytics.sharing import SharingSizeState, sharing_at_size_batch
 
 __all__ = [
     "previous_occurrence",
@@ -48,10 +47,7 @@ __all__ = [
     "reuse_histogram_chunked",
     "StreamingSharing",
     "analyze_sharing_chunked",
-    "simulate_lru_sets",
-    "batch_worthwhile",
-    "SharingSizeState",
-    "sharing_at_size_batch",
+    "SetLRU",
     "CoherenceBatchState",
     "simulate_coherent_caches_batch",
 ]

@@ -1,168 +1,142 @@
-"""Batch set-associative LRU simulation.
+"""One set-associative LRU kernel: per-set stack distances.
 
-Accesses to different cache sets never interact, so an exact
-set-associative LRU simulation decomposes freely: stable-sort the trace
-by set index (preserving time order within each set) and advance *every
-set simultaneously*, one access per vectorized round, through a way
-matrix ``W[set, way]`` holding resident line addresses in MRU-first
-order.  Each round is a handful of whole-array numpy operations (match,
-argmax, gather-shift), so the per-access Python interpreter cost of the
-scalar simulator disappears; the number of Python-level iterations drops
-from ``n`` accesses to ``max_set_length`` rounds.
+Accesses to different cache sets never interact, and within one set LRU
+is a stack algorithm (Mattson's inclusion property): an access hits an
+``A``-way set if and only if fewer than ``A`` distinct lines of its set
+were touched since its previous access to the same line.  One call of
+:meth:`SetLRU.run` is therefore the stack-distance computation of
+:mod:`repro.analytics.reuse`, run per set:
 
-Sets are processed in descending sequence-length order so the active
-sets of round ``r`` are always a prefix — plain slices, no masks.
+1. the call's accesses are stable-sorted by set, each touched set's
+   resident lines (LRU first) prepended as if accessed just before;
+2. previous occurrences are keyed by (set, line), so a line last seen
+   in another set group (another SM's L1) is a first touch here;
+3. ``d = #{j < i : p[j] <= p[i]} - p[i] - 1`` (``count_earlier_leq``);
+   an access hits iff it has a previous occurrence and ``d < A``;
+4. each touched set keeps its last ``A`` distinct lines as its state.
 
-Everything here is bit-identical to the scalar simulators; the scalar
-code remains in :mod:`repro.cpusim.cache` / :mod:`repro.gpusim.memory`
-as the oracle.
+The cost is O(n log² n) element work whatever the skew across sets.
+Figure 10's shared cache, the residency-windowed sharing analysis, the
+GPU's texture/constant caches and its L1/L2 ladder all run on it; the
+per-access oracle is :func:`repro.cpusim.cache.lru_walk_scalar`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro import telemetry
+from repro.analytics.reuse import count_earlier_leq, sorted_previous_occurrence
 
-#: Way-matrix slot holding no line.  Real line addresses are
-#: non-negative, so -1 can never produce a false hit.
+#: State slot holding no line.  Real line addresses are non-negative.
 EMPTY_LINE = np.int64(-1)
 
 
-@dataclasses.dataclass
-class SetPartition:
-    """A trace stable-sorted into contiguous per-set groups."""
+class LRUPass(NamedTuple):
+    """One kernel call, in the layouts a caller's payload can follow.
 
-    order: np.ndarray     # original index of each sorted position
-    starts: np.ndarray    # group start offset in the sorted layout
-    counts: np.ndarray    # group length
-    set_ids: np.ndarray   # set index of each group
-
-    @property
-    def n_groups(self) -> int:
-        return int(self.starts.size)
-
-
-def partition_by_set(set_idx: np.ndarray) -> SetPartition:
-    """Group access indices by set, preserving time order within sets."""
-    order = np.argsort(set_idx, kind="stable")
-    ss = set_idx[order]
-    if ss.size == 0:
-        e = np.empty(0, dtype=np.int64)
-        return SetPartition(order, e, e.copy(), e.copy())
-    set_ids, starts = np.unique(ss, return_index=True)
-    counts = np.diff(np.append(starts, ss.size))
-    return SetPartition(order, starts, counts, set_ids)
-
-
-def batch_worthwhile(n_accesses: int, counts: np.ndarray) -> bool:
-    """Heuristic: rounds (= longest set sequence) must amortize.
-
-    The vectorized engine costs ~one numpy round per access *rank*
-    within a set; a trace concentrated on few sets degenerates to
-    per-access rounds and the scalar loop wins.
+    The *merged* stream is the carried lines followed by the call's
+    accesses; the *grouped* layout is that stream stable-sorted by set.
+    A *run* is a maximal block of equal (set, line) in the grouped
+    layout: only its head can miss, the rest re-touch the set's MRU.
     """
-    if n_accesses < 4096 or counts.size == 0:
-        return False
-    return int(counts.max()) * 16 <= n_accesses
+
+    hits: np.ndarray     # per access, in call order
+    order: np.ndarray    # merged-stream index of each grouped position
+    hit_g: np.ndarray    # hit mask, grouped layout (False on carried lines)
+    runs: np.ndarray     # grouped position of each run head
+    korder: np.ndarray   # runs by (set, line), time order within
+    carried: Tuple[np.ndarray, np.ndarray]  # state slot of each carried line
+    kept: Tuple[np.ndarray, np.ndarray]     # state slot of each final resident
+    kept_at: np.ndarray  # grouped position of each final resident's last use
+
+    def key_order(self) -> np.ndarray:
+        """Grouped positions by (set, line), time order within."""
+        n = self.order.size
+        lens = np.diff(np.append(self.runs, n))[self.korder]
+        skip = self.runs[self.korder] - (np.cumsum(lens) - lens)
+        return np.repeat(skip, lens) + np.arange(n)
 
 
-@dataclasses.dataclass
-class LRUSetsResult:
-    """Outcome of a way-matrix run, aligned to the partition's groups."""
+class SetLRU:
+    """Per-set LRU state of a cache, or of several as set groups."""
 
-    miss_per_group: np.ndarray
-    ways: np.ndarray        # (G, assoc) line addresses, MRU first
-    lengths: np.ndarray     # valid ways per group
-    hits_sorted: Optional[np.ndarray]  # per-access hits, sorted layout
+    def __init__(self, n_sets: int, assoc: int):
+        self.assoc = assoc
+        # Resident lines per set, LRU first, MRU in the last column;
+        # EMPTY_LINE pads the front of a set holding fewer lines.
+        self.ways = np.full((n_sets, assoc), EMPTY_LINE, dtype=np.int64)
+        # The narrowest unsigned type holding a set index: numpy's
+        # stable sort is a radix sort up to 16 bits.
+        self._set_dtype = np.min_scalar_type(max(0, n_sets - 1))
 
+    def access(self, lines: np.ndarray, sets: np.ndarray) -> np.ndarray:
+        """Access ``lines`` (in ``sets``) in order; returns the hit mask."""
+        p = self.run(lines, sets)
+        return p.hits if p is not None else np.zeros(0, dtype=bool)
 
-def simulate_lru_sets(
-    sorted_lines: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    assoc: int,
-    need_hits: bool = False,
-    init_ways: Optional[np.ndarray] = None,
-    init_lengths: Optional[np.ndarray] = None,
-) -> LRUSetsResult:
-    """Advance every set one access per round through a way matrix.
+    def resident(self) -> Dict[int, List[int]]:
+        """Resident lines of every occupied set, LRU first."""
+        rows, cols = np.nonzero(self.ways != EMPTY_LINE)
+        out: Dict[int, List[int]] = {}
+        for s, line in zip(rows.tolist(), self.ways[rows, cols].tolist()):
+            out.setdefault(s, []).append(line)
+        return out
 
-    ``sorted_lines`` is the trace in grouped (sorted-by-set) layout;
-    ``starts``/``counts`` delimit the groups.  Exactly reproduces a
-    per-set LRU list with MRU appended last and eviction from the front.
+    def run(self, lines: np.ndarray, sets: np.ndarray) -> Optional[LRUPass]:
+        """One kernel call; updates the state.  ``None`` for no accesses."""
+        n = lines.size
+        if n == 0:
+            return None
+        A = self.assoc
+        touched = np.zeros(self.ways.shape[0], dtype=bool)
+        touched[sets] = True
+        touched = np.flatnonzero(touched)
+        carried = self.ways[touched]
+        prow, pcol = np.nonzero(carried != EMPTY_LINE)
+        slots = (touched[prow], pcol)
+        m_sets = np.concatenate((slots[0], sets)).astype(self._set_dtype)
+        # Stable: each set's carried lines (LRU first) precede its
+        # accesses, which stay in time order.
+        order = np.argsort(m_sets, kind="stable")
+        g_sets = m_sets[order]
+        g_lines = np.concatenate((carried[prow, pcol], lines))[order]
+        N = order.size
+        # Dropping a run's repeats changes no other access's distance,
+        # so distances are counted over run heads only.
+        head = np.ones(N, dtype=bool)
+        head[1:] = (g_lines[1:] != g_lines[:-1]) | (g_sets[1:] != g_sets[:-1])
+        runs = np.flatnonzero(head)
+        r_sets = g_sets[runs]
+        r_lines = g_lines[runs]
+        prev, korder, _ = sorted_previous_occurrence(r_lines, r_sets)
+        hit_g = ~head
+        hit_g[runs] = (prev >= 0) & (count_earlier_leq(prev) - prev - 1 < A)
+        inv = np.empty_like(order)
+        inv[order] = np.arange(N)
+        hits = hit_g[inv[prow.size:]]
 
-    ``init_ways``/``init_lengths`` (aligned to the groups, MRU-first)
-    seed a *warm* cache: the simulation continues from that state
-    exactly as the scalar simulator would.
-    """
-    G = starts.size
-    if init_ways is not None:
-        W = np.array(init_ways, dtype=np.int64, copy=True)
-        lengths = np.array(init_lengths, dtype=np.int64, copy=True)
-    else:
-        W = np.full((G, assoc), EMPTY_LINE, dtype=np.int64)
-        lengths = np.zeros(G, dtype=np.int64)
-    miss_pg = np.zeros(G, dtype=np.int64)
-    hits_sorted = (
-        np.empty(sorted_lines.size, dtype=bool) if need_hits else None
-    )
-    if G == 0:
-        return LRUSetsResult(miss_pg, W, lengths, hits_sorted)
-    desc = np.argsort(-counts, kind="stable")
-    # The round loop runs in length-descending layout (unpermuted on
-    # return); bring any warm initial state into that layout too.
-    W = W[desc]
-    lengths = lengths[desc]
-    dstarts = starts[desc]
-    neg_counts = -counts[desc]
-    maxlen = int(counts[desc[0]])
-    cols = np.arange(assoc)
-    for r in range(maxlen):
-        k = int(np.searchsorted(neg_counts, -(r + 1), side="right"))
-        idx = dstarts[:k] + r
-        x = sorted_lines[idx]
-        Wk = W[:k]
-        match = Wk == x[:, None]
-        hit = match.any(axis=1)
-        pos = match.argmax(axis=1)
-        # Columns 1..limit take their left neighbour (shift toward LRU);
-        # on a hit the shift stops at the hit position, on a miss it
-        # covers the whole occupied range (dropping the LRU when full).
-        limit = np.where(hit, pos, np.minimum(lengths[:k], assoc - 1))
-        src = cols - (cols <= limit[:, None])
-        src[:, 0] = 0
-        Wn = np.take_along_axis(Wk, src, axis=1)
-        Wn[:, 0] = x
-        W[:k] = Wn
-        lengths[:k] = np.minimum(lengths[:k] + ~hit, assoc)
-        miss_pg[:k] += ~hit
-        if need_hits:
-            hits_sorted[idx] = hit
-    # Undo the length-descending permutation.
-    miss_out = np.empty_like(miss_pg)
-    miss_out[desc] = miss_pg
-    W_out = np.empty_like(W)
-    W_out[desc] = W
-    len_out = np.empty_like(lengths)
-    len_out[desc] = lengths
-    if telemetry.active():
-        n_miss = int(miss_pg.sum())
-        # A miss inserts one line; whatever did not fit in the final
-        # occupancy over the initial one was evicted.
-        init_len = (
-            np.zeros(G, dtype=np.int64) if init_lengths is None
-            else np.asarray(init_lengths, dtype=np.int64)
-        )
-        telemetry.count("analytics.lru.accesses", int(sorted_lines.size))
-        telemetry.count("analytics.lru.misses", n_miss)
-        telemetry.count("analytics.lru.hits",
-                        int(sorted_lines.size) - n_miss)
-        telemetry.count(
-            "analytics.lru.evictions",
-            int((init_len + miss_out - len_out).sum()),
-        )
-    return LRUSetsResult(miss_out, W_out, len_out, hits_sorted)
+        # A (set, line)'s last run is nobody's previous occurrence; in
+        # the grouped layout the last runs go set by set, LRU first.
+        reused = np.zeros(runs.size, dtype=bool)
+        reused[prev[prev >= 0]] = True
+        last = np.flatnonzero(~reused)
+        ls = r_sets[last]
+        from_mru = (np.searchsorted(ls, ls, side="right") - 1
+                    - np.arange(last.size))
+        keep = from_mru < A
+        last = last[keep]
+        kept = (ls[keep], A - 1 - from_mru[keep])
+        self.ways[touched] = EMPTY_LINE
+        self.ways[kept] = r_lines[last]
+        run_end = np.append(runs[1:], N) - 1
+
+        if telemetry.active():
+            n_hit = int(np.count_nonzero(hits))
+            telemetry.count("analytics.lru.accesses", n)
+            telemetry.count("analytics.lru.hits", n_hit)
+            telemetry.count("analytics.lru.misses", n - n_hit)
+        return LRUPass(hits, order, hit_g, runs, korder, slots, kept,
+                       run_end[last])

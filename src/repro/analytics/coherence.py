@@ -5,9 +5,12 @@ Every interaction in the write-invalidate protocol of
 cross-core invalidation, cold classification — is line-granular, and a
 line maps to exactly one set in every core's (identically shaped)
 private cache.  Accesses to different sets therefore never interact,
-and the simulation vectorizes over sets exactly like
-:mod:`repro.analytics.cache`: one access per set per round, with the
-per-core way matrices ``W[core, set, way]`` advanced by gather-shifts.
+and the simulation vectorizes over sets: the trace is stable-sorted by
+set, and every set advances one access per round, the per-core way
+matrices ``W[core, set, way]`` (MRU first) advanced by gather-shifts.
+Sets run in descending access-count order, so the active sets of round
+``r`` are always a prefix; state import and export index through
+``part.set_ids[desc]``.
 
 Alongside the line addresses, two payload matrices ride through the
 same shifts: the MSI dirty bit and the touched-word bitmask that
@@ -15,9 +18,10 @@ classifies invalidations into true vs. false sharing.  The
 "last departure was an invalidation" set becomes a dense
 ``(core, line)`` boolean table.
 
-Unlike the shared-cache engine, invalidations *remove* entries, which
-leaves stale line addresses beyond a set's valid length — every match
-is therefore masked by way index < length.
+Invalidations *remove* entries, so the protocol is no stack algorithm
+(the LRU kernel of :mod:`repro.analytics.cache` cannot answer it), and
+they leave stale line addresses beyond a set's valid length — every
+match is therefore masked by way index < length.
 
 Results are bit-identical to the scalar simulator, which remains the
 test oracle.
@@ -30,9 +34,28 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.analytics.cache import EMPTY_LINE, partition_by_set
+from repro.analytics.cache import EMPTY_LINE
 from repro.analytics.chunked import _member
 from repro.cpusim.coherence import CoherenceStats
+
+
+@dataclasses.dataclass
+class SetPartition:
+    """A trace stable-sorted into contiguous per-set groups."""
+
+    order: np.ndarray     # original index of each sorted position
+    starts: np.ndarray    # group start offset in the sorted layout
+    counts: np.ndarray    # group length
+    set_ids: np.ndarray   # set index of each group
+
+
+def partition_by_set(set_idx: np.ndarray) -> SetPartition:
+    """Group access indices by set, preserving time order within sets."""
+    order = np.argsort(set_idx, kind="stable")
+    ss = set_idx[order]
+    set_ids, starts = np.unique(ss, return_index=True)
+    counts = np.diff(np.append(starts, ss.size))
+    return SetPartition(order, starts, counts, set_ids)
 
 
 @dataclasses.dataclass

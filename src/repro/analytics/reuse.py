@@ -53,11 +53,13 @@ def previous_occurrence(keys: np.ndarray) -> np.ndarray:
     return sorted_previous_occurrence(keys)[0]
 
 
-def sorted_previous_occurrence(keys: np.ndarray) -> tuple:
+def sorted_previous_occurrence(keys: np.ndarray, groups=None) -> tuple:
     """:func:`previous_occurrence` plus the stable sort it is built on.
 
     Returns ``(prev, order, sorted_keys)`` with ``order`` the stable
-    argsort of ``keys``, for callers that need the sort as well.
+    argsort of ``keys``, for callers that need the sort as well.  With
+    ``groups`` (non-decreasing along ``keys``) occurrences are keyed by
+    (group, key): equal keys in two groups never see each other.
     """
     n = keys.size
     prev = np.full(n, -1, dtype=np.int64)
@@ -65,6 +67,10 @@ def sorted_previous_occurrence(keys: np.ndarray) -> tuple:
     sk = keys[order]
     if n > 1:
         same = sk[1:] == sk[:-1]
+        if groups is not None:
+            # Equal keys sort in position order, so group by group.
+            sg = groups[order]
+            same &= sg[1:] == sg[:-1]
         prev_sorted = np.full(n, -1, dtype=np.int64)
         prev_sorted[1:][same] = order[:-1][same]
         prev[order] = prev_sorted

@@ -128,38 +128,57 @@ def sharing_at_size_chunked(
     than one thread touched the line during it.
 
     ``iter_chunks`` is a zero-argument callable returning an iterator of
-    (addr, tid, ...) column chunks.  The way-matrix engine's cache state
-    carries between chunks and still-resident lifetimes close after the
-    last one; :func:`sharing_at_size_scalar` is the per-access oracle.
+    (addr, tid, ...) column chunks.  Each chunk runs once through the
+    LRU kernel of :mod:`repro.analytics.cache`; sharing follows from its
+    hit mask by residency segments, a segment being one (set, line)'s
+    accesses from a miss up to its next miss.  Lifetimes equal misses,
+    and a lifetime counts as shared once a second thread touches it, so
+    none is left open at the end of the trace.  Per resident line only
+    the segment's first thread and whether it is shared yet carry
+    between chunks.  :func:`sharing_at_size_scalar` is the oracle.
     """
-    from repro.analytics.sharing import SharingSizeState, sharing_at_size_batch
+    from repro.analytics.cache import SetLRU
 
     n_sets = max(1, (size_bytes // line_bytes) // assoc)
-    state = SharingSizeState.fresh(n_sets, assoc)
+    cache = SetLRU(n_sets, assoc)
+    first_tid = np.zeros((n_sets, assoc), dtype=np.int64)
+    shared_yet = np.zeros((n_sets, assoc), dtype=bool)
     total = shared = lifetimes = shared_lt = 0
     for chunk in iter_chunks():
-        addrs, tids = chunk[0], chunk[1]
-        lines = (addrs // line_bytes).astype(np.int64)
-        result = sharing_at_size_batch(
-            lines, tids.astype(np.int64), n_sets, assoc, state
-        )
-        if result is None:  # >= 64 thread ids: scalar oracle, whole trace
-            cols = [np.concatenate(c) for c in zip(*iter_chunks())]
-            return sharing_at_size_scalar(
-                cols[0], cols[1], size_bytes, assoc, line_bytes
-            )
-        s, lt, slt, state = result
-        total += int(addrs.size)
-        shared += s
-        lifetimes += lt
-        shared_lt += slt
-    lt, slt = state.close_lifetimes()
+        lines = (chunk[0] // line_bytes).astype(np.int64)
+        p = cache.run(lines, lines % n_sets)
+        if p is None:
+            continue
+        total += int(lines.size)
+        lifetimes += int(lines.size - np.count_nonzero(p.hits))
+        carried_shared = shared_yet[p.carried]
+        korder = p.key_order()
+        merged = p.order[korder]  # merged-stream index, by (set, line)
+        tid = np.concatenate((first_tid[p.carried], chunk[1]))[merged]
+        hit = p.hit_g[korder]
+        # By (set, line) in time order, every miss (a first touch
+        # included) starts a segment, and so does each carried line.
+        pos = np.arange(hit.size)
+        start = np.maximum.accumulate(np.where(hit, 0, pos))
+        first = tid[start]
+        other = (tid != first) | np.concatenate(
+            (carried_shared, np.zeros(lines.size, dtype=bool))
+        )[merged]
+        now = np.maximum.accumulate(np.where(other, pos, -1)) >= start
+        seg_end = np.append(~hit[1:], True)
+        shared += int(np.count_nonzero(hit & now))
+        shared_lt += int(np.count_nonzero(now & seg_end)
+                         - np.count_nonzero(carried_shared))
+        at = np.empty_like(korder)
+        at[korder] = pos
+        first_tid[p.kept] = first[at[p.kept_at]]
+        shared_yet[p.kept] = now[at[p.kept_at]]
     return SizeSharing(
         size_bytes=size_bytes,
         total_accesses=total,
         shared_accesses=shared,
-        lifetimes=lifetimes + lt,
-        shared_lifetimes=shared_lt + slt,
+        lifetimes=lifetimes,
+        shared_lifetimes=shared_lt,
     )
 
 

@@ -345,11 +345,9 @@ def _cmd_run(argv) -> int:
             if registry_dir:
                 _save_record(registry_dir, record, "[registry]")
             if args.save_baseline:
-                pathlib.Path(args.save_baseline).write_text(
-                    record.to_json(), encoding="utf-8"
-                )
-                print(f"[baseline saved] {args.save_baseline}",
-                      file=sys.stderr)
+                from repro.fidelity.registry import write_baseline
+
+                write_baseline(record, args.save_baseline)
             if args.baseline:
                 from repro.core.report import render_drift
                 from repro.fidelity import check_drift

@@ -22,6 +22,7 @@ import hashlib
 import json
 import numbers
 import pathlib
+import sys
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -169,6 +170,28 @@ def record_from_results(
         durations=durations,
         meta=dict(meta or {}),
     ).stamp()
+
+
+def write_baseline(record: RunRecord, path: Union[str, pathlib.Path],
+                   out=None) -> Optional[pathlib.Path]:
+    """Write ``record`` as a ``--save-baseline`` file; returns its path.
+
+    Publishes atomically, creating the parent directory.  A failed write
+    (a full disk) prints ``[baseline] error: ...`` to ``out`` (stderr by
+    default) and returns ``None``: the run it records has finished, so
+    its exit code stands.
+    """
+    out = sys.stderr if out is None else out
+    text = record.to_json()
+    try:
+        target = publish(
+            path, lambda tmp: pathlib.Path(tmp).write_text(text, "utf-8")
+        )
+    except OSError as exc:
+        print(f"[baseline] error: {exc}", file=out, flush=True)
+        return None
+    print(f"[baseline saved] {target}", file=out, flush=True)
+    return target
 
 
 class RunRegistry:

@@ -15,9 +15,10 @@ block order at launch end:
   batch and reordered with one stable ``lexsort`` into the exact stream
   the per-block loop records.
 - Texture/constant cache accesses are replayed through the (stateful)
-  caches in the same sequential-block order, on the batch LRU engine of
-  :mod:`repro.analytics.cache`; hit/miss accounting and the resulting
-  miss transactions are therefore bit-identical to the per-block loop.
+  caches in the same sequential-block order, one call of the LRU
+  kernel (:mod:`repro.analytics.cache`) per cache; hit/miss accounting
+  and the resulting miss transactions are therefore bit-identical to
+  the per-block loop.
 - Scalar aggregate counters (occupancy histogram, per-category warp
   instructions, replays, serializations) commute and are accumulated
   directly.

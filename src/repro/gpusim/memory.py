@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro import telemetry
+from repro.analytics.cache import SetLRU
 from repro.gpusim.isa import BANK_WORD_BYTES, SHARED_BANKS, TRANSACTION_BYTES, Space
 
 _SPACE_BASE = {
@@ -125,8 +125,10 @@ class CacheModel:
 
     Used for texture/constant caches during functional execution and for
     the Fermi L1/L2 hierarchy during timing.  Accesses are line-granular;
-    eviction is strict LRU within a set.  Stores allocate (write-allocate)
-    and mark lines dirty; ``access`` returns hit/miss per address.
+    eviction is strict LRU within a set; ``access`` returns hit/miss per
+    address.  ``n_caches`` identical caches (the per-SM L1s) share one
+    model as groups of sets, so one ``access`` call serves all of them.
+    Every call runs the LRU kernel of :mod:`repro.analytics.cache`.
     """
 
     def __init__(
@@ -135,6 +137,7 @@ class CacheModel:
         assoc: int = 4,
         line_bytes: int = 64,
         hash_sets: bool = False,
+        n_caches: int = 1,
     ):
         if size_bytes <= 0:
             raise ValueError("cache size must be positive")
@@ -146,100 +149,33 @@ class CacheModel:
         # Texture caches (and Fermi's L2) swizzle the set index to avoid
         # power-of-2 stride aliasing; plain modulo models simple caches.
         self.hash_sets = hash_sets
-        # Each set is an ordered dict substitute: list of tags, MRU last.
-        self._sets: Dict[int, list] = {}
+        self.n_caches = n_caches
+        self.lru = SetLRU(n_caches * self.n_sets, assoc)
         self.hits = 0
         self.misses = 0
 
-    def access_one(self, addr: int) -> bool:
-        """Access one address; returns True on hit."""
-        line = addr // self.line_bytes
+    def set_index(self, lines: np.ndarray) -> np.ndarray:
+        """Set of each line address within one cache."""
         if self.hash_sets:
-            set_idx = (line ^ (line >> 10) ^ (line >> 5)) % self.n_sets
-        else:
-            set_idx = line % self.n_sets
-        tags = self._sets.get(set_idx)
-        if tags is None:
-            tags = []
-            self._sets[set_idx] = tags
-        if line in tags:
-            tags.remove(line)
-            tags.append(line)
-            self.hits += 1
-            return True
-        tags.append(line)
-        if len(tags) > self.assoc:
-            tags.pop(0)
-        self.misses += 1
-        return False
+            lines = lines ^ (lines >> 10) ^ (lines >> 5)
+        return lines % self.n_sets
 
-    def access(self, addrs: np.ndarray) -> np.ndarray:
+    def access(
+        self, addrs: np.ndarray, cache: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """Access a sequence of addresses in order; returns hit mask.
 
-        Long traces run on the batch way-matrix engine — warm caches
-        seed the engine's initial state, and the final state is written
-        back in full, so mixing batch and per-access calls stays exact.
-        ``access_one`` is the scalar oracle.
+        ``cache`` names the cache (of ``n_caches``) each address goes
+        to; each cache sees its own accesses in order.
         """
-        if addrs.size >= 4096:
-            hits = self._access_batch(np.asarray(addrs))
-            if hits is not None:
-                telemetry.count("gpusim.cache.dispatch.batch")
-                return hits
-        telemetry.count("gpusim.cache.dispatch.scalar")
-        out = np.empty(addrs.size, dtype=bool)
-        one = self.access_one
-        for i, a in enumerate(addrs.tolist()):
-            out[i] = one(a)
-        return out
-
-    def _access_batch(self, addrs: np.ndarray) -> Optional[np.ndarray]:
-        from repro.analytics.cache import (
-            EMPTY_LINE,
-            batch_worthwhile,
-            partition_by_set,
-            simulate_lru_sets,
-        )
-
-        lines = (addrs.astype(np.int64)) // self.line_bytes
-        if self.hash_sets:
-            set_idx = (lines ^ (lines >> 10) ^ (lines >> 5)) % self.n_sets
-        else:
-            set_idx = lines % self.n_sets
-        part = partition_by_set(set_idx)
-        if not batch_worthwhile(lines.size, part.counts):
-            return None
-        init_ways = None
-        init_lengths = None
-        if self._sets:
-            # Seed the way matrix with the warm per-set LRU lists
-            # (scalar lists are MRU-last; way rows are MRU-first).
-            init_ways = np.full(
-                (part.n_groups, self.assoc), EMPTY_LINE, dtype=np.int64
-            )
-            init_lengths = np.zeros(part.n_groups, dtype=np.int64)
-            for g, sid in enumerate(part.set_ids.tolist()):
-                tags = self._sets.get(sid)
-                if tags:
-                    init_ways[g, : len(tags)] = tags[::-1]
-                    init_lengths[g] = len(tags)
-        res = simulate_lru_sets(
-            lines[part.order], part.starts, part.counts, self.assoc,
-            need_hits=True,
-            init_ways=init_ways, init_lengths=init_lengths,
-        )
-        n_miss = int(res.miss_per_group.sum())
-        self.misses += n_miss
-        self.hits += int(lines.size) - n_miss
-        for g in range(part.n_groups):
-            length = int(res.lengths[g])
-            if length:
-                # Way rows are MRU-first; the scalar lists are MRU-last.
-                self._sets[int(part.set_ids[g])] = [
-                    int(line) for line in res.ways[g, :length][::-1]
-                ]
-        hits = np.empty(lines.size, dtype=bool)
-        hits[part.order] = res.hits_sorted
+        lines = np.asarray(addrs).astype(np.int64) // self.line_bytes
+        sets = self.set_index(lines)
+        if cache is not None:
+            sets = sets + cache * self.n_sets
+        hits = self.lru.access(lines, sets)
+        n_hit = int(np.count_nonzero(hits))
+        self.hits += n_hit
+        self.misses += int(lines.size) - n_hit
         return hits
 
     @property
@@ -251,12 +187,9 @@ class CacheModel:
         n = self.accesses
         return self.hits / n if n else 0.0
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def clone_empty(self) -> "CacheModel":
         """A fresh cache of identical geometry."""
-        return CacheModel(
-            self.size_bytes, self.assoc, self.line_bytes, self.hash_sets
+        return type(self)(
+            self.size_bytes, self.assoc, self.line_bytes, self.hash_sets,
+            self.n_caches,
         )

@@ -251,11 +251,12 @@ class TimingModel:
             )
 
         n_sms = max(1, effective_sms)
-        l1s = (
-            [
-                CacheModel(cfg.l1_size, cfg.l1_assoc, TRANSACTION_BYTES)
-                for _ in range(n_sms)
-            ]
+        # The per-SM L1s are one model whose set groups are the SMs, so
+        # each chunk makes one L1 call; every SM's L1 still sees its own
+        # stream in time order.
+        l1 = (
+            CacheModel(cfg.l1_size, cfg.l1_assoc, TRANSACTION_BYTES,
+                       n_caches=n_sms)
             if cfg.has_l1
             else None
         )
@@ -269,36 +270,24 @@ class TimingModel:
         chunk = max(1, math.ceil(n_blocks / n_sms))
         l1_hits = l2_hits = l2_accesses = dram_tx = 0
         counts = zeros
-        # The caches persist across chunks (their state imports warm into
-        # the batch engine), so streaming the launch chunk by chunk is
-        # bit-identical to one dense pass.
+        # The caches carry their state across chunks, so streaming the
+        # launch chunk by chunk is bit-identical to one dense pass.
         for addrs, blocks, _ in launch.iter_transaction_chunks():
             survivors = addrs
-            if l1s is not None:
+            if l1 is not None:
                 if cfg.cta_scheduler == "chunked":
                     sms = np.minimum(blocks // chunk, n_sms - 1)
                 else:
                     sms = blocks % n_sms
-                # Each SM's L1 sees an independent stream; boolean
-                # masking keeps per-SM time order, so one vectorizable
-                # access() call per SM replaces the per-transaction loop.
-                hit_mask = np.empty(addrs.size, dtype=bool)
-                for sm, l1 in enumerate(l1s):
-                    mask = sms == sm
-                    if mask.any():
-                        hit_mask[mask] = l1.access(addrs[mask])
-                l1_hits += int(hit_mask.sum())
+                hit_mask = l1.access(addrs, sms)
+                l1_hits += int(np.count_nonzero(hit_mask))
                 survivors = addrs[~hit_mask]
+            dram = survivors
             if l2 is not None:
                 l2_accesses += int(survivors.size)
-                if survivors.size:
-                    hit2 = l2.access(survivors)
-                    l2_hits += int(hit2.sum())
-                    dram = survivors[~hit2]
-                else:
-                    dram = survivors
-            else:
-                dram = survivors
+                hit2 = l2.access(survivors)
+                l2_hits += int(np.count_nonzero(hit2))
+                dram = survivors[~hit2]
             dram_tx += int(dram.size)
             if dram.size:
                 counts = counts + self._channel_counts(dram)

@@ -52,7 +52,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import pathlib
 import signal
 import sys
 import threading
@@ -757,7 +756,11 @@ def gate_service_run(
     not raised), written to ``save_baseline``, and compared against the
     ``baseline`` record, a path or a registry run id.
     """
-    from repro.fidelity.registry import RunRecord, RunRegistry
+    from repro.fidelity.registry import (
+        RunRecord,
+        RunRegistry,
+        write_baseline,
+    )
     from repro.service.slo import check_slo, parse_slo_spec
 
     out = sys.stderr if out is None else out
@@ -778,10 +781,7 @@ def gate_service_run(
             print(f"[serve] service record -> {path}", file=out,
                   flush=True)
     if save_baseline:
-        target = pathlib.Path(save_baseline)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(record.to_json(), encoding="utf-8")
-        print(f"[serve] baseline saved -> {target}", file=out, flush=True)
+        write_baseline(record, save_baseline, out=out)
     exit_code = 0
     if slo:
         report = check_slo(metrics, parse_slo_spec(slo))

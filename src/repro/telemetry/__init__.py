@@ -10,7 +10,7 @@ lets it measure *itself*.  Three primitives, one module-level registry:
 - **Counters / gauges** — named monotonic tallies (:func:`count`) and
   last-value measurements (:func:`gauge`), incremented by the hot
   layers: artifact-cache hits, batched kernel launches and their lane
-  occupancy, LRU evictions, committed transactions.
+  occupancy, LRU hits and misses, committed transactions.
 - **JSONL emission** — when a sink is attached, every span open/close
   becomes one JSON object per line (see :data:`SCHEMA_VERSION` and
   docs/TELEMETRY.md for the schema); counter totals are appended when

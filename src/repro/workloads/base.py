@@ -125,11 +125,20 @@ def get(name: str) -> WorkloadDef:
     return REGISTRY[name]
 
 
-def all_rodinia() -> List[WorkloadDef]:
+def _suite(suite: str, modules: List[str]) -> List[WorkloadDef]:
+    """A suite's workloads in module-list order, however the registry
+    filled (importing one workload module early registers it first)."""
     load_all()
-    return [w for w in REGISTRY.values() if w.meta.suite == "rodinia"]
+    rank = {name: i for i, name in enumerate(modules)}
+    return sorted(
+        (w for w in REGISTRY.values() if w.meta.suite == suite),
+        key=lambda w: rank.get(w.name, len(rank)),
+    )
+
+
+def all_rodinia() -> List[WorkloadDef]:
+    return _suite("rodinia", RODINIA_MODULES)
 
 
 def all_parsec() -> List[WorkloadDef]:
-    load_all()
-    return [w for w in REGISTRY.values() if w.meta.suite == "parsec"]
+    return _suite("parsec", PARSEC_MODULES)

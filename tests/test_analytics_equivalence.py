@@ -4,8 +4,9 @@ Every batch engine in :mod:`repro.analytics` must match its per-access
 scalar oracle *bit for bit* — same histograms, same stats, same
 per-access hit masks, same final cache state.  Hypothesis drives random
 traces (plus adversarial shapes: every access in one set, a single
-line repeated, write-storms) through the streaming entry points, which
-always run the batch engines, on one chunk and on two.
+line repeated, write-storms) through the streaming entry points on one
+chunk and on two.  Every LRU cache is checked against the one
+per-access walk, :func:`repro.cpusim.cache.lru_walk_scalar`.
 """
 
 import dataclasses
@@ -14,18 +15,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analytics.cache import (
-    batch_worthwhile,
-    partition_by_set,
-    simulate_lru_sets,
-)
+from repro.analytics.cache import SetLRU
 from repro.analytics.chunked import (
     analyze_sharing_chunked,
     reuse_histogram_chunked,
 )
 from repro.analytics.reuse import count_earlier_leq, previous_occurrence
-from repro.analytics.sharing import sharing_at_size_batch
-from repro.cpusim.cache import SharedCache
+from repro.cpusim.cache import SharedCache, lru_walk_scalar
 from repro.cpusim.coherence import (
     simulate_coherent_caches_chunked,
     simulate_coherent_caches_scalar,
@@ -149,45 +145,33 @@ def test_stack_distance_identity_on_long_trace():
        st.integers(min_value=1, max_value=32))
 def test_lru_sets_matches_shared_cache(trace, assoc, n_sets):
     lines, _, _ = trace
-    ref = SharedCache(n_sets * assoc * 64, assoc=assoc, line_bytes=64)
-    want_hits = np.array(
-        [ref.access_line(int(l)) for l in lines.tolist()], dtype=bool
-    )
-    part = partition_by_set(lines % n_sets)
-    res = simulate_lru_sets(
-        lines[part.order], part.starts, part.counts, assoc, need_hits=True
-    )
-    got_hits = np.empty(lines.size, dtype=bool)
-    got_hits[part.order] = res.hits_sorted
-    assert np.array_equal(got_hits, want_hits)
-    assert int(res.miss_per_group.sum()) == ref.stats.misses
-    # Final state: MRU-first way rows equal the oracle's LRU-first dicts
-    # reversed.
-    state = {
-        int(part.set_ids[g]): [
-            int(x) for x in res.ways[g, : int(res.lengths[g])]
-        ]
-        for g in range(part.n_groups)
-        if res.lengths[g]
-    }
-    want_state = {
-        s: list(ways)[::-1] for s, ways in ref._sets.items() if ways
-    }
-    assert state == want_state
+    sets = lines % n_sets
+    state = {}
+    want_hits = lru_walk_scalar(lines, sets, assoc, state)
+    for chunks in (one_chunk(lines, sets), two_chunks(lines, sets)):
+        lru = SetLRU(n_sets, assoc)
+        got_hits = np.concatenate(
+            [lru.access(l, s) for l, s in chunks()] + [np.zeros(0, bool)]
+        )
+        assert np.array_equal(got_hits, want_hits)
+        # Final state: every occupied set's lines in LRU-to-MRU order.
+        assert lru.resident() == {s: w for s, w in state.items() if w}
 
 
 @pytest.mark.parametrize("name,lines", _adversarial_traces())
 def test_shared_cache_batch_adversarial(name, lines):
-    addrs = np.repeat(lines, 8) * 64  # push past the batch threshold
-    fast = SharedCache(16 * 4 * 64)
-    hits_fast = fast.run(addrs)
-    ref = SharedCache(16 * 4 * 64)
-    hits_ref = np.array(
-        [ref.access_line(int(l)) for l in (addrs // 64).tolist()]
-    )
-    assert np.array_equal(hits_fast, hits_ref), name
-    assert dataclasses.asdict(fast.stats) == dataclasses.asdict(ref.stats)
-    assert fast.resident_lines() == ref.resident_lines()
+    addrs = np.repeat(lines, 8) * 64
+    lines = addrs // 64
+    state = {}
+    hits_ref = lru_walk_scalar(lines, lines % 16, 4, state)
+    for chunks in (one_chunk(addrs), two_chunks(addrs)):
+        fast = SharedCache(16 * 4 * 64)
+        hits_fast = np.concatenate([fast.run(a) for (a,) in chunks()])
+        assert np.array_equal(hits_fast, hits_ref), name
+        assert (fast.stats.accesses, fast.stats.misses) == (
+            lines.size, int((~hits_ref).sum())
+        )
+        assert fast.lru.resident() == {s: w for s, w in state.items() if w}
 
 
 # ----------------------------------------------------------------------
@@ -222,12 +206,6 @@ def test_sharing_at_size_batch_adversarial():
         for chunks in (one_chunk(lines * 64, tids),
                        two_chunks(lines * 64, tids)):
             assert sharing_at_size_chunked(chunks, 16 * 4 * 64) == ref, name
-
-
-def test_sharing_batch_declines_wide_tids():
-    lines = np.zeros(10, dtype=np.int64)
-    tids = np.array([0] * 9 + [64], dtype=np.int64)  # beyond mask width
-    assert sharing_at_size_batch(lines, tids, 4, 4) is None
 
 
 # ----------------------------------------------------------------------
@@ -280,14 +258,9 @@ def test_gpu_cache_batch_matches_scalar(hash_sets):
     addrs = rng.integers(0, 1 << 18, size=8192) * 4
     fast = CacheModel(16 * 1024, 4, 64, hash_sets=hash_sets)
     got = fast.access(addrs)
-    ref = CacheModel(16 * 1024, 4, 64, hash_sets=hash_sets)
-    want = np.array([ref.access_one(int(a)) for a in addrs.tolist()])
+    lines = addrs // 64
+    state = {}
+    want = lru_walk_scalar(lines, fast.set_index(lines), 4, state)
     assert np.array_equal(got, want)
-    assert (fast.hits, fast.misses) == (ref.hits, ref.misses)
-    assert fast._sets == ref._sets
-
-
-def test_batch_worthwhile_heuristic():
-    assert not batch_worthwhile(100, np.array([10]))
-    assert not batch_worthwhile(10000, np.array([10000]))  # one hot set
-    assert batch_worthwhile(10000, np.full(100, 100))
+    assert (fast.hits, fast.misses) == (int(want.sum()), int((~want).sum()))
+    assert fast.lru.resident() == state

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.common import config as cfgmod
-from tests.chunks import chunks_of
+from tests.chunks import chunks_of, one_chunk, two_chunks
 
 _N = 12000
 
@@ -117,9 +117,8 @@ def test_sharing_at_size_chunked_matches_dense(trace_cols, oracles, size):
         assert chunked == want
 
 
-def test_sharing_at_size_chunked_wide_tids_fall_back_to_scalar(trace_cols):
-    """A chunk carrying a thread id beyond the sharer mask sends the
-    whole trace through the scalar oracle."""
+def test_sharing_at_size_chunked_wide_tids_match_scalar(trace_cols):
+    """Thread ids of 64 and more take the same kernel as narrow ones."""
     from repro.cpusim.sharing import (
         SizeSharing,
         sharing_at_size_chunked,
@@ -127,12 +126,15 @@ def test_sharing_at_size_chunked_wide_tids_fall_back_to_scalar(trace_cols):
     )
 
     addrs, tids, _ = trace_cols
-    addrs, tids = addrs[:3000], tids[:3000].astype(np.int64)
-    tids[2500] = 64  # only the last chunk is too wide for the engine
+    addrs = addrs[:6000]
+    tids = tids[:6000].astype(np.int64) * 37  # ids up to 259
+    assert tids.max() >= 64
     want = sharing_at_size_scalar(addrs, tids, 16 * 1024)
     assert want.shared_accesses > 0
-    got = sharing_at_size_chunked(chunks_of(1000, addrs, tids), 16 * 1024)
-    assert got == want
+    for chunks in (one_chunk(addrs, tids), two_chunks(addrs, tids)) + tuple(
+        chunks_of(size, addrs, tids) for size in CHUNK_SIZES
+    ):
+        assert sharing_at_size_chunked(chunks, 16 * 1024) == want
     empty = sharing_at_size_chunked(lambda: iter(()), 16 * 1024)
     assert empty == SizeSharing(16 * 1024, 0, 0, 0, 0)
 
@@ -180,32 +182,89 @@ def test_miss_curves_chunked_match_dense(trace_cols, oracles, size):
     )
 
 
-def test_shared_cache_warm_batches_match_dense(trace_cols):
-    from repro.cpusim.cache import SharedCache
-
-    addrs = trace_cols[0]
-    dense = SharedCache(256 * 1024, assoc=4)
-    dense.run(addrs, record_hits=False)
-    for size in (5000, 4097):
-        warm = SharedCache(256 * 1024, assoc=4)
-        for a, _, _ in chunks_of(size, *trace_cols)():
-            warm.run(a, record_hits=False)
-        d, w = dense.stats, warm.stats
-        assert (d.accesses, d.misses, d.cold_misses, d.evictions) == (
-            w.accesses, w.misses, w.cold_misses, w.evictions
-        )
-    # Mixed batch/scalar boundary: pieces below the batch threshold take
-    # the scalar path against the same warm state.
-    mixed = SharedCache(256 * 1024, assoc=4)
-    pos = 0
-    for piece in (6000, 100, 5000, 900):
-        mixed.run(addrs[pos : pos + piece], record_hits=False)
-        pos += piece
-    m = mixed.stats
-    d = dense.stats
-    assert (d.accesses, d.misses, d.cold_misses, d.evictions) == (
-        m.accesses, m.misses, m.cold_misses, m.evictions
+def _chunkings(*cols):
+    """One chunk, two, and every size of CHUNK_SIZES."""
+    return (one_chunk(*cols), two_chunks(*cols)) + tuple(
+        chunks_of(size, *cols) for size in CHUNK_SIZES
     )
+
+
+def _shared_cache_matches_walk(addrs, size_bytes, chunks):
+    """One SharedCache run per chunk equals the per-access walk."""
+    from repro.cpusim.cache import SharedCache, lru_walk_scalar
+
+    cache = SharedCache(size_bytes, assoc=4)
+    lines = addrs // 64
+    state = {}
+    want = lru_walk_scalar(lines, lines % cache.n_sets, 4, state)
+    hits = [cache.run(a) for a, *_ in chunks()]
+    np.testing.assert_array_equal(np.concatenate(hits), want)
+    assert (cache.stats.accesses, cache.stats.misses) == (
+        want.size, int((~want).sum())
+    )
+    assert cache.lru.resident() == state
+
+
+def test_shared_cache_warm_batches_match_dense(trace_cols):
+    addrs = trace_cols[0]
+    for chunks in _chunkings(addrs):
+        _shared_cache_matches_walk(addrs, 256 * 1024, chunks)
+    # Uneven pieces against the same warm state.
+    bounds = np.cumsum([0, 6000, 100, 5000, 900])
+    pieces = [(addrs[a:b],) for a, b in zip(bounds[:-1], bounds[1:])]
+    _shared_cache_matches_walk(
+        addrs[: bounds[-1]], 256 * 1024, lambda: iter(pieces)
+    )
+
+
+def test_one_hot_set_stream_matches_walk():
+    """Every access in one set: the kernel's cost and result do not
+    depend on how the accesses spread over sets."""
+    rng = np.random.default_rng(5)
+    n_sets = 256 * 1024 // (4 * 64)
+    addrs = rng.integers(0, 12, 9000) * n_sets * 64 + 64 * 3
+    for chunks in _chunkings(addrs):
+        _shared_cache_matches_walk(addrs, 256 * 1024, chunks)
+
+
+def test_merged_l1_matches_per_sm_walk():
+    """Per-SM L1s as set groups of one model: two SMs touching the same
+    lines never hit on each other's accesses."""
+    from repro.cpusim.cache import lru_walk_scalar
+    from repro.gpusim.memory import CacheModel
+
+    rng = np.random.default_rng(9)
+    n = 9000
+    addrs = rng.integers(0, 600, n) * 128
+    sms = rng.integers(0, 2, n)
+    for chunks in _chunkings(addrs, sms):
+        l1 = CacheModel(16 * 1024, 4, 128, n_caches=2)
+        got = np.concatenate([l1.access(a, s) for a, s in chunks()])
+        want = np.empty(n, dtype=bool)
+        for sm in range(2):
+            mine = sms == sm
+            lines = addrs[mine] // 128
+            want[mine] = lru_walk_scalar(lines, l1.set_index(lines), 4)
+        np.testing.assert_array_equal(got, want)
+        assert (l1.hits, l1.misses) == (want.sum(), (~want).sum())
+
+
+def test_lru_telemetry_counts_every_cache_access():
+    """``analytics.lru.*`` counts every call, however small."""
+    from repro import telemetry
+    from repro.gpusim.memory import CacheModel
+
+    rng = np.random.default_rng(3)
+    cache = CacheModel(16 * 1024, 4, 64, hash_sets=True)
+    assert telemetry.start()
+    try:
+        for size in (1, 3, 0, 5000, 2):
+            cache.access(rng.integers(0, 1 << 16, size) * 64)
+    finally:
+        counters = telemetry.stop()["counters"]
+    assert counters["analytics.lru.accesses"] == cache.accesses
+    assert counters["analytics.lru.hits"] == cache.hits
+    assert counters["analytics.lru.misses"] == cache.misses
 
 
 def test_characterize_trace_invariant_to_chunk_rows():

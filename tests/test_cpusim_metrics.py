@@ -119,6 +119,34 @@ class TestFeatureLayer:
         names = suite_workloads(dedupe_shared=False)
         assert "streamcluster_p" in names
 
+    def test_suite_order_independent_of_import_order(self):
+        """Importing one workload module before the registry loads the
+        rest (as an outside-in tracer does) moves no table row."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        probe = (
+            "import json, sys\n"
+            "if sys.argv[1] == 'early':\n"
+            "    import repro.workloads.parsec.raytrace\n"
+            "from repro.core.features import suite_workloads\n"
+            "print(json.dumps(suite_workloads(dedupe_shared=False)))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        orders = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", probe, mode], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+            for mode in ("early", "plain")
+        ]
+        assert orders[0] == orders[1]
+        assert orders[1].index("blackscholes") < orders[1].index("raytrace")
+        assert orders[1] == suite_workloads(dedupe_shared=False)
+
     def test_display_labels(self):
         assert display_label("bfs") == "bfs(R)"
         assert display_label("vips") == "vips(P)"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cpusim.cache import lru_walk_scalar
 from repro.gpusim.isa import Space
 from repro.gpusim.memory import (
     Allocator,
@@ -59,42 +60,26 @@ class TestBankConflicts:
         assert bank_conflict_degree(np.empty(0, dtype=np.int64)) == 0
 
 
-def _reference_lru(accesses, size, assoc, line):
-    """Brute-force set-associative LRU."""
-    n_sets = max(1, (size // line) // assoc)
-    sets = {}
-    hits = []
-    for addr in accesses:
-        ln = addr // line
-        s = ln % n_sets
-        ways = sets.setdefault(s, [])
-        if ln in ways:
-            ways.remove(ln)
-            ways.append(ln)
-            hits.append(True)
-        else:
-            ways.append(ln)
-            if len(ways) > assoc:
-                ways.pop(0)
-            hits.append(False)
-    return hits
+def _one(cache, addr):
+    """Access a single address; True on a hit."""
+    return bool(cache.access(np.array([addr]))[0])
 
 
 class TestCacheModel:
     def test_repeat_hits(self):
         c = CacheModel(1024, assoc=2)
-        assert not c.access_one(0)
-        assert c.access_one(0)
+        assert not _one(c, 0)
+        assert _one(c, 0)
         assert c.hit_rate == 0.5
 
     def test_eviction_order_is_lru(self):
         c = CacheModel(2 * 64, assoc=2, line_bytes=64)  # one set, 2 ways
-        c.access_one(0)
-        c.access_one(64 * 1)  # with 1 set: same set
-        c.access_one(0)       # touch 0 -> MRU
-        c.access_one(64 * 2)  # evicts line 1
-        assert c.access_one(0)
-        assert not c.access_one(64 * 1)
+        _one(c, 0)
+        _one(c, 64 * 1)  # with 1 set: same set
+        _one(c, 0)       # touch 0 -> MRU
+        _one(c, 64 * 2)  # evicts line 1
+        assert _one(c, 0)
+        assert not _one(c, 64 * 1)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -104,9 +89,10 @@ class TestCacheModel:
     )
     def test_matches_reference(self, raw, size, assoc):
         c = CacheModel(size, assoc=assoc, line_bytes=64)
+        lines = np.array(raw, dtype=np.int64) // 64
         got = c.access(np.array(raw, dtype=np.int64))
-        expected = _reference_lru(raw, size, assoc, 64)
-        assert got.tolist() == expected
+        expected = lru_walk_scalar(lines, lines % c.n_sets, assoc)
+        assert got.tolist() == expected.tolist()
 
     def test_hash_sets_avoid_stride_aliasing(self):
         # Power-of-two stride pathological for modulo indexing.
@@ -167,9 +153,8 @@ class TestDeviceArray:
 
 
 class TestWarmBatchCache:
-    """CacheModel.access may switch between the scalar loop and the
-    batch way-matrix engine mid-stream; the warm state handoff in both
-    directions must be exact."""
+    """Each CacheModel.access call continues from the state the last one
+    left; a stream split into calls must equal the per-access walk."""
 
     @pytest.mark.parametrize("hash_sets", [False, True])
     def test_scalar_batch_scalar_equals_pure_scalar(self, hash_sets):
@@ -179,25 +164,22 @@ class TestWarmBatchCache:
         tail = rng.integers(0, 4096, size=500) * 64
 
         mixed = CacheModel(16 * 1024, assoc=4, hash_sets=hash_sets)
-        oracle = CacheModel(16 * 1024, assoc=4, hash_sets=hash_sets)
-
-        got = [mixed.access(part) for part in (warm, big, tail)]
-        want = [
-            np.array([oracle.access_one(int(a)) for a in part])
-            for part in (warm, big, tail)
-        ]
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
-        assert (mixed.hits, mixed.misses) == (oracle.hits, oracle.misses)
+        state = {}
+        for part in (warm, big, tail):
+            lines = part // 64
+            want = lru_walk_scalar(lines, mixed.set_index(lines), 4, state)
+            np.testing.assert_array_equal(mixed.access(part), want)
+        misses = sum(len(p) for p in (warm, big, tail)) - mixed.hits
+        assert mixed.misses == misses
         # Post-state must also agree: identical per-set LRU lists.
-        assert mixed._sets == oracle._sets
+        assert mixed.lru.resident() == state
 
     def test_batch_on_cold_cache_unchanged(self):
         rng = np.random.default_rng(11)
         addrs = rng.integers(0, 2048, size=8192) * 64
         cold = CacheModel(16 * 1024, assoc=4)
-        ref = CacheModel(16 * 1024, assoc=4)
-        got = cold.access(addrs)
-        want = np.array([ref.access_one(int(a)) for a in addrs])
-        np.testing.assert_array_equal(got, want)
-        assert cold._sets == ref._sets
+        state = {}
+        want = lru_walk_scalar(addrs // 64, addrs // 64 % cold.n_sets, 4,
+                               state)
+        np.testing.assert_array_equal(cold.access(addrs), want)
+        assert cold.lru.resident() == state

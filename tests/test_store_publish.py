@@ -181,3 +181,61 @@ class TestFinishedRunSurvivesFullDisk:
         out = io.StringIO()
         assert gate_service_run(service, out=out) == 0
         assert "[registry] error: " in out.getvalue()
+
+
+class TestBaselineWrites:
+    """``run --save-baseline`` and ``serve --save-baseline`` write
+    through one helper: the parent directory is created, the publish is
+    atomic, and a failed write is reported without changing the exit
+    code."""
+
+    def _run(self, target):
+        from repro.experiments.runner import main
+
+        return main(["run", "table1", "--scale", "tiny", "--registry",
+                     "off", "--save-baseline", str(target)])
+
+    def test_runner_creates_missing_parent(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "base.json"
+        assert self._run(target) == 0
+        assert "[baseline saved] " in capsys.readouterr().err
+        record = RunRecord.from_json(target.read_text(encoding="utf-8"))
+        assert record.kind == "run" and "table1" in record.experiments
+
+    def test_runner_full_disk_keeps_exit_code(self, tmp_path, capsys,
+                                              full_disk):
+        full_disk(registry_mod)
+        target = tmp_path / "missing" / "base.json"
+        assert self._run(target) == 0
+        out = capsys.readouterr()
+        assert "Table I" in out.out
+        assert "[baseline] error: " in out.err
+        assert "No space left on device" in out.err
+        assert not target.exists()
+        assert _litter(tmp_path) == []
+
+    def _gate(self, tmp_path, target):
+        from repro.service import ExperimentService, gate_service_run
+
+        service = ExperimentService(cache_dir="", registry_dir="")
+        service.stats.requests = service.stats.warm = 1
+        out = io.StringIO()
+        code = gate_service_run(service, save_baseline=str(target), out=out)
+        return code, out.getvalue()
+
+    def test_service_creates_missing_parent(self, tmp_path):
+        target = tmp_path / "missing" / "base.json"
+        code, err = self._gate(tmp_path, target)
+        assert code == 0
+        assert "[baseline saved] " in err
+        record = RunRecord.from_json(target.read_text(encoding="utf-8"))
+        assert record.kind == "service"
+
+    def test_service_full_disk_keeps_exit_code(self, tmp_path, full_disk):
+        full_disk(registry_mod)
+        target = tmp_path / "missing" / "base.json"
+        code, err = self._gate(tmp_path, target)
+        assert code == 0
+        assert "[baseline] error: " in err
+        assert not target.exists()
+        assert _litter(tmp_path) == []
