@@ -12,10 +12,10 @@ production runs instead, *bit-identical* to those loops:
   per-set stack distances over the set-sorted stream (an access hits an
   ``A``-way set iff its per-set distance is below ``A``), for every LRU
   cache of both simulators and the residency-windowed sharing analysis.
-- :mod:`repro.analytics.coherence` — private-cache MSI simulation
-  vectorized across sets through a way matrix (all protocol
-  interactions are line-local, hence set-local; invalidations make it
-  no stack algorithm).
+- :mod:`repro.analytics.coherence` — private-cache MSI simulation as
+  independent (core, set) LRU caches with invalidation events, one
+  event per group per vectorized round (invalidations make it no stack
+  algorithm).
 - :mod:`repro.analytics.chunked` — chunk-at-a-time stack distances and
   whole-run sharing statistics over columnar trace stores.
 

@@ -1,36 +1,38 @@
 """Batch private-cache MSI coherence simulation.
 
-Every interaction in the write-invalidate protocol of
-:mod:`repro.cpusim.coherence` — lookup, LRU touch, install/evict,
-cross-core invalidation, cold classification — is line-granular, and a
-line maps to exactly one set in every core's (identically shaped)
-private cache.  Accesses to different sets therefore never interact,
-and the simulation vectorizes over sets: the trace is stable-sorted by
-set, and every set advances one access per round, the per-core way
-matrices ``W[core, set, way]`` (MRU first) advanced by gather-shifts.
-Sets run in descending access-count order, so the active sets of round
-``r`` are always a prefix; state import and export index through
-``part.set_ids[desc]``.
+A private cache changes only through its own core's accesses and
+through other cores' writes to lines it holds, and a line maps to one
+set in every core's (identically shaped) cache.  The write-invalidate
+protocol of :mod:`repro.cpusim.coherence` therefore splits into
+independent (core, set) LRU caches, *groups*, each seeing two kinds of
+event:
 
-Alongside the line addresses, two payload matrices ride through the
-same shifts: the MSI dirty bit and the touched-word bitmask that
-classifies invalidations into true vs. false sharing.  The
-"last departure was an invalidation" set becomes a dense
-``(core, line)`` boolean table.
+- an *access* by the group's core moves or installs its line at MRU
+  with its dirty bit and touched-word mask; a miss on a full group
+  evicts the LRU way, a writeback if it is dirty;
+- an *invalidation* by another core's write removes the line if the
+  group holds it, true sharing if the victim touched the written word.
 
-Invalidations *remove* entries, so the protocol is no stack algorithm
-(the LRU kernel of :mod:`repro.analytics.cache` cannot answer it), and
-they leave stale line addresses beyond a set's valid length — every
-match is therefore masked by way index < length.
+A write is an invalidation event only of the cores that touch its line
+in the chunk or hold it in their carried ways: no other core can hold
+it.  One sort of ``group * n + index`` keys lays every group's events
+out in time order (an access's own event and its invalidation events
+never share a group, so the keys are unique), and each round advances
+every group with events left by one, all under one shift rule.  Groups
+run in descending event count, so the active ones are a prefix.
 
-Results are bit-identical to the scalar simulator, which remains the
-test oracle.
+A coherence miss is a miss on a (line, core) whose last departure was
+an invalidation; the cold misses of a chunk are its lines never seen
+before, since a line's first access anywhere misses.  Invalidations
+remove entries, so the protocol is no stack algorithm (the kernel of
+:mod:`repro.analytics.cache` cannot answer it).  Results are
+bit-identical to the scalar simulator, which remains the test oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,52 +42,32 @@ from repro.cpusim.coherence import CoherenceStats
 
 
 @dataclasses.dataclass
-class SetPartition:
-    """A trace stable-sorted into contiguous per-set groups."""
-
-    order: np.ndarray     # original index of each sorted position
-    starts: np.ndarray    # group start offset in the sorted layout
-    counts: np.ndarray    # group length
-    set_ids: np.ndarray   # set index of each group
-
-
-def partition_by_set(set_idx: np.ndarray) -> SetPartition:
-    """Group access indices by set, preserving time order within sets."""
-    order = np.argsort(set_idx, kind="stable")
-    ss = set_idx[order]
-    set_ids, starts = np.unique(ss, return_index=True)
-    counts = np.diff(np.append(starts, ss.size))
-    return SetPartition(order, starts, counts, set_ids)
-
-
-@dataclasses.dataclass
 class CoherenceBatchState:
     """Carried machine state between chunked coherence runs.
 
-    Way matrices are dense over all ``n_sets`` (a chunk imports and
-    exports only the sets it touches); the invalidated and seen line
-    sets are sorted line-address arrays, since their domain — distinct
-    lines — is unbounded by cache geometry.
+    Row ``core * n_sets + set`` of each matrix is one (core, set)
+    group, MRU first; ``EMPTY_LINE`` (never dirty) pads the LRU end of
+    a group holding fewer than ``assoc`` lines.  The invalidated
+    (line, core) pairs and the seen lines are sorted arrays, since
+    their domain, distinct lines, is unbounded by cache geometry.
     """
 
     n_sets: int
-    W: np.ndarray    # (C, n_sets, A) resident lines, MRU first
-    MOD: np.ndarray  # (C, n_sets, A) dirty bits
-    TW: np.ndarray   # (C, n_sets, A) touched-word masks
-    LEN: np.ndarray  # (C, n_sets) valid ways
-    inv_lines: List[np.ndarray]  # per-core sorted lines last evicted by inval
-    seen_lines: np.ndarray       # sorted lines ever accessed
+    W: np.ndarray    # (C·n_sets, A) resident lines, MRU first
+    MOD: np.ndarray  # (C·n_sets, A) dirty bits
+    TW: np.ndarray   # (C·n_sets, A) touched-word masks
+    inv_keys: np.ndarray    # sorted line·C + core, last left by invalidation
+    seen_lines: np.ndarray  # sorted lines ever accessed
 
     @classmethod
     def fresh(cls, n_cores: int, n_sets: int, assoc: int) -> "CoherenceBatchState":
-        C, A = n_cores, assoc
+        G = n_cores * n_sets
         return cls(
             n_sets=n_sets,
-            W=np.full((C, n_sets, A), EMPTY_LINE, dtype=np.int64),
-            MOD=np.zeros((C, n_sets, A), dtype=bool),
-            TW=np.zeros((C, n_sets, A), dtype=np.uint64),
-            LEN=np.zeros((C, n_sets), dtype=np.int64),
-            inv_lines=[np.empty(0, dtype=np.int64) for _ in range(C)],
+            W=np.full((G, assoc), EMPTY_LINE, dtype=np.int64),
+            MOD=np.zeros((G, assoc), dtype=bool),
+            TW=np.zeros((G, assoc), dtype=np.uint64),
+            inv_keys=np.empty(0, dtype=np.int64),
             seen_lines=np.empty(0, dtype=np.int64),
         )
 
@@ -100,164 +82,143 @@ def simulate_coherent_caches_batch(
     n_cores: int = 8,
     state: Optional[CoherenceBatchState] = None,
 ) -> Tuple[CoherenceStats, CoherenceBatchState]:
-    """Vectorized-across-sets run of the private-cache MSI protocol.
+    """Vectorized-across-groups run of the private-cache MSI protocol.
 
     Continues from carried machine ``state`` (fresh caches when
-    ``None``) and returns ``(stats, state)``.  A chunked trace processed
-    one chunk at a time produces counters bit-identical to the scalar
-    oracle over the whole trace — every protocol interaction is
-    line-granular and a line maps to one set in all cores' identically
-    shaped caches, so per-set subsequences with carried way/INV/seen
-    state compose exactly.
+    ``None``) and returns ``(stats, state)``; a trace processed one
+    chunk at a time yields counters bit-identical to the scalar oracle
+    over the whole trace.
     """
     if line_bytes > 512:
         raise ValueError("touched-word masks cover lines of <= 512 bytes")
     n = int(addrs.size)
+    C, A = n_cores, assoc
     n_sets = max(1, cache_bytes_per_core // (assoc * line_bytes))
     if state is None:
-        state = CoherenceBatchState.fresh(n_cores, n_sets, assoc)
-    elif state.n_sets != n_sets:
-        raise ValueError("carried state has mismatched set count")
+        state = CoherenceBatchState.fresh(C, n_sets, A)
+    elif state.n_sets != n_sets or state.W.shape != (C * n_sets, A):
+        raise ValueError("carried state has mismatched cache geometry")
     if n == 0:
-        return CoherenceStats(n_cores, 0, 0, 0, 0, 0, 0), state
-    lines = (addrs // line_bytes).astype(np.int64)
-    part = partition_by_set(lines % n_sets)
+        return CoherenceStats(C, 0, 0, 0, 0, 0, 0), state
+    lines = (addrs // line_bytes).astype(np.int64, copy=False)
+    word = ((addrs % line_bytes) // 8).astype(np.uint8)
+    core = tids % C
+    writes = writes.astype(bool, copy=False)
+    uniq, lid = np.unique(lines, return_inverse=True)
+    lid = lid.astype(np.int32)
+    U = uniq.size
 
-    order = part.order
-    sorted_lines = lines[order]
-    uniq_lines, lid_all = np.unique(sorted_lines, return_inverse=True)
-    words = ((addrs % line_bytes) // 8).astype(np.uint64)
-    sorted_wbit = np.uint64(1) << words[order]
-    sorted_core = (tids[order].astype(np.int64)) % n_cores
-    sorted_wr = writes[order].astype(bool)
+    # Possible holders of each line: the cores touching it in the chunk
+    # and those holding it in their carried ways.
+    holder = np.zeros((U, C), dtype=bool)
+    holder[lid, core] = True
+    held = state.W != EMPTY_LINE
+    h_line = state.W[held]
+    ok = _member(uniq, h_line)
+    holder[np.searchsorted(uniq, h_line[ok]),
+           np.nonzero(held)[0][ok] // n_sets] = True
 
-    desc = np.argsort(-part.counts, kind="stable")
-    dstarts = part.starts[desc]
-    neg_counts = -part.counts[desc]
-    maxlen = int(part.counts[desc[0]])
-
-    C, A = n_cores, assoc
-    # Way-matrix row j holds the desc[j]-th group throughout the round
-    # loop, so state import/export must follow the same permutation.
-    sid = part.set_ids[desc]
-    W = state.W[:, sid, :].copy()
-    MOD = state.MOD[:, sid, :].copy()
-    TW = state.TW[:, sid, :].copy()
-    LEN = state.LEN[:, sid].copy()
-    INV = np.stack(
-        [_member(state.inv_lines[c], uniq_lines) for c in range(C)]
+    # Events keyed group * n + index: each access in its own core's
+    # group, each write in every other possible holder's.
+    wi = np.flatnonzero(writes)
+    others = holder[lid[wi]]
+    others[np.arange(wi.size), core[wi]] = False
+    wj, oc = np.nonzero(others)
+    # Free what the rounds do not read before the sort's peak.
+    del holder, others
+    inv_i = wi[wj]
+    sets = lines % n_sets
+    keys = np.concatenate((
+        (core.astype(np.int64) * n_sets + sets) * n + np.arange(n),
+        (oc * n_sets + sets[inv_i]) * n + inv_i,
+    ))
+    del sets, inv_i, wi, wj, oc
+    keys.sort()
+    bounds = np.searchsorted(keys, np.arange(C * n_sets + 1) * n)
+    ev = (keys % n).astype(np.int32)
+    del keys
+    counts = np.diff(bounds)
+    active = np.flatnonzero(counts)
+    desc = active[np.argsort(-counts[active], kind="stable")]
+    dstart = bounds[desc]
+    dcore = desc // n_sets
+    n_active = np.searchsorted(
+        -counts[desc], -np.arange(1, counts.max() + 1), side="right"
     )
-    seen = _member(state.seen_lines, uniq_lines)
 
-    misses = cold = coh = invals = wbs = 0
-    true_sh = false_sh = 0
+    # Invalidated flags of this chunk's (line, core) pairs, index
+    # lid·C + core, seeded from the carried keys.
+    inval = np.zeros(U * C, dtype=bool)
+    k_line = state.inv_keys // C
+    ok = _member(uniq, k_line)
+    inval[np.searchsorted(uniq, k_line[ok]) * C + state.inv_keys[ok] % C] = True
+
+    W, MOD, TW = state.W, state.MOD, state.TW
     cols = np.arange(A)
-    zero64 = np.uint64(0)
+    row = np.arange(desc.size) * A
+    grid = row[:, None] + cols
+    one = np.uint64(1)
+    misses = coh = invals = wbs = true_sh = 0
+    for r, k in enumerate(n_active.tolist()):
+        g = desc[:k]
+        i = ev[dstart[:k] + r]
+        c = dcore[:k]
+        x = lines[i]
+        wbit = one << word[i]
+        own = core[i] == c
+        flag = lid[i] * C + c
 
-    for r in range(maxlen):
-        k = int(np.searchsorted(neg_counts, -(r + 1), side="right"))
-        idx = dstarts[:k] + r
-        x = sorted_lines[idx]
-        lid = lid_all[idx]
-        wbit = sorted_wbit[idx]
-        core = sorted_core[idx]
-        wr = sorted_wr[idx]
-        rows = np.arange(k)
-
-        # --- cross-core invalidations (before the writer's own update,
-        # matching the scalar order; they never touch the writer's cache)
-        if wr.any():
-            for o in range(C):
-                im = wr & (core != o)
-                if not im.any():
-                    continue
-                ro = rows[im]
-                xo = x[im]
-                Wo = W[o, ro]
-                Lo = LEN[o, ro]
-                mm = (Wo == xo[:, None]) & (cols[None, :] < Lo[:, None])
-                present = mm.any(axis=1)
-                if not present.any():
-                    continue
-                pos = mm.argmax(axis=1)
-                mo = np.arange(ro.size)
-                touched = TW[o, ro][mo, pos]
-                hit_word = present & ((touched & wbit[im]) != zero64)
-                invals += int(present.sum())
-                true_sh += int(hit_word.sum())
-                false_sh += int((present & ~hit_word).sum())
-                INV[o, lid[im][present]] = True
-                # Shift the removed entry out: columns at/after the hit
-                # position take their right neighbour.
-                src = np.minimum(cols + (cols >= pos[:, None]), A - 1)
-                Wn = np.take_along_axis(Wo, src, axis=1)
-                Mn = np.take_along_axis(MOD[o, ro], src, axis=1)
-                Tn = np.take_along_axis(TW[o, ro], src, axis=1)
-                keep = ~present[:, None]
-                W[o, ro] = np.where(keep, Wo, Wn)
-                MOD[o, ro] = np.where(keep, MOD[o, ro], Mn)
-                TW[o, ro] = np.where(keep, TW[o, ro], Tn)
-                LEN[o, ro] = Lo - present
-
-        # --- own-cache access
-        Wk = W[core, rows]
-        Mk = MOD[core, rows]
-        Tk = TW[core, rows]
-        Lk = LEN[core, rows]
-        match = (Wk == x[:, None]) & (cols[None, :] < Lk[:, None])
-        hit = match.any(axis=1)
+        Wg, Mg, Tg = W[g], MOD[g], TW[g]
+        match = Wg == x[:, None]
+        found = match.any(axis=1)
         pos = match.argmax(axis=1)
-        miss = ~hit
+        old_m = Mg.ravel()[row[:k] + pos] & found
+        old_t = Tg.ravel()[row[:k] + pos]
+        miss = own & ~found
+        gone = found & ~own
+        was = inval[flag]
 
-        n_miss = int(miss.sum())
-        if n_miss:
-            misses += n_miss
-            cold += int((miss & ~seen[lid]).sum())
-            was_inval = miss & INV[core, lid]
-            coh += int(was_inval.sum())
-            INV[core[miss], lid[miss]] = False
-            evict = miss & (Lk >= A)
-            if evict.any():
-                wbs += int(Mk[evict, A - 1].sum())
-        seen[lid] = True
+        misses += int(np.count_nonzero(miss))
+        coh += int(np.count_nonzero(was & miss))
+        wbs += int(np.count_nonzero(miss & Mg[:, -1]))
+        invals += int(np.count_nonzero(gone))
+        true_sh += int(np.count_nonzero(gone & ((old_t & wbit) != 0)))
+        inval[flag] = (was & ~miss) | gone
 
-        old_mod = Mk[rows, pos]
-        old_tw = Tk[rows, pos]
-        limit = np.where(hit, pos, np.minimum(Lk, A - 1))
-        src = cols - (cols <= limit[:, None])
-        src[:, 0] = 0
-        Wn = np.take_along_axis(Wk, src, axis=1)
-        Mn = np.take_along_axis(Mk, src, axis=1)
-        Tn = np.take_along_axis(Tk, src, axis=1)
-        Wn[:, 0] = x
-        Mn[:, 0] = np.where(hit, old_mod | wr, wr)
-        Tn[:, 0] = np.where(hit, old_tw | wbit, wbit)
-        W[core, rows] = Wn
-        MOD[core, rows] = Mn
-        TW[core, rows] = Tn
-        LEN[core, rows] = np.minimum(Lk + miss, A)
+        # One shift rule over flat way indices: an access moves the ways
+        # before its hit (every way on a miss, dropping the LRU one) one
+        # towards LRU and takes the MRU way; a removal moves the ways
+        # after it one towards MRU and empties the LRU way.
+        hi = np.where(found, pos, A - 1)
+        src = (grid[:k]
+               - ((cols <= hi[:, None]) & own[:, None])
+               + ((cols >= pos[:, None]) & gone[:, None]))
+        Wn = Wg.take(src, mode="clip")
+        Mn = Mg.take(src, mode="clip")
+        Tn = Tg.take(src, mode="clip")
+        Wn[:, 0] = np.where(own, x, Wn[:, 0])
+        Mn[:, 0] = np.where(own, old_m | writes[i], Mn[:, 0])
+        Tn[:, 0] = np.where(own, np.where(found, old_t, 0) | wbit, Tn[:, 0])
+        Wn[:, -1] = np.where(gone, EMPTY_LINE, Wn[:, -1])
+        Mn[:, -1] &= ~gone
+        W[g], MOD[g], TW[g] = Wn, Mn, Tn
 
+    new = ~_member(state.seen_lines, uniq)
     stats = CoherenceStats(
-        n_cores=n_cores,
+        n_cores=C,
         accesses=n,
         misses=misses,
-        cold_misses=cold,
+        cold_misses=int(np.count_nonzero(new)),
         coherence_misses=coh,
         invalidations=invals,
         writebacks=wbs,
         true_sharing_invalidations=true_sh,
-        false_sharing_invalidations=false_sh,
+        false_sharing_invalidations=invals - true_sh,
     )
-    state.W[:, sid, :] = W
-    state.MOD[:, sid, :] = MOD
-    state.TW[:, sid, :] = TW
-    state.LEN[:, sid] = LEN
-    for c in range(C):
-        # Lines of this chunk overwrite their carried INV status; lines
-        # untouched by the chunk keep theirs.
-        kept = state.inv_lines[c][~_member(uniq_lines, state.inv_lines[c])]
-        state.inv_lines[c] = np.sort(
-            np.concatenate((kept, uniq_lines[INV[c]]))
-        )
-    state.seen_lines = np.union1d(state.seen_lines, uniq_lines)
+    # This chunk's lines overwrite their carried flags; other lines
+    # keep theirs.
+    f = np.flatnonzero(inval)
+    kept = state.inv_keys[~_member(uniq, k_line)]
+    state.inv_keys = np.sort(np.concatenate((kept, uniq[f // C] * C + f % C)))
+    state.seen_lines = np.sort(np.concatenate((state.seen_lines, uniq[new])))
     return stats, state

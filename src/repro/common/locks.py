@@ -151,7 +151,7 @@ def store_lock(root: Union[str, os.PathLike], name: str,
 
 
 def publish(path: Union[str, os.PathLike],
-            write_fn: Callable[[str], None]) -> Path:
+            write_fn: Callable[[str], None], locked: bool = True) -> Path:
     """Write one store file atomically; ``write_fn(tmp)`` fills it.
 
     The temp file lives in the same directory (so the rename is atomic
@@ -161,15 +161,19 @@ def publish(path: Union[str, os.PathLike],
     after the name's last ``-``, a content hash in every store)
     serializes same-range writers and fences the pruner; on timeout the
     write proceeds unlocked — the rename keeps it atomic, the lock only
-    avoids duplicate temp-file churn.  On any failure the temp file is
-    removed, the lock released and the previous file left in place.
+    avoids duplicate temp-file churn.  ``locked=False`` skips the lock
+    for a lone file outside any store (a ``--save-baseline`` target),
+    so no ``.locks/`` directory appears beside it.  On any failure the
+    temp file is removed, the lock released and the previous file left
+    in place.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     shard = path.stem.rsplit("-", 1)[-1][:2] or "00"
     lock = store_lock(path.parent, f"w-{shard}")
     try:
-        lock.acquire()
+        if locked:
+            lock.acquire()
     except LockTimeout:
         telemetry.count("store.lock.timeout")
     try:

@@ -162,14 +162,9 @@ def simulate_coherent_caches_chunked(
             addrs, tids, writes, cache_bytes_per_core, assoc, line_bytes,
             n_cores, state,
         )
-        totals.accesses += stats.accesses
-        totals.misses += stats.misses
-        totals.cold_misses += stats.cold_misses
-        totals.coherence_misses += stats.coherence_misses
-        totals.invalidations += stats.invalidations
-        totals.writebacks += stats.writebacks
-        totals.true_sharing_invalidations += stats.true_sharing_invalidations
-        totals.false_sharing_invalidations += stats.false_sharing_invalidations
+        for f in dataclasses.fields(CoherenceStats)[1:]:  # all but n_cores
+            total = getattr(totals, f.name) + getattr(stats, f.name)
+            setattr(totals, f.name, total)
     return totals
 
 

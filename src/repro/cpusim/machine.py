@@ -127,7 +127,8 @@ class ThreadCtx:
         self._addr_chunks.append(addrs)
         self._write_chunks.append(np.full(addrs.size, is_write, dtype=bool))
 
-    def _addrs_for(self, arr: HostArray, idx: IndexLike) -> np.ndarray:
+    def _flat_index(self, arr: HostArray, idx: IndexLike) -> np.ndarray:
+        """``idx`` as a flat int64 array, bounds-checked against ``arr``."""
         flat = np.asarray(idx, dtype=np.int64).reshape(-1)
         if flat.size and (flat.min() < 0 or flat.max() >= arr.size):
             bad = flat[(flat < 0) | (flat >= arr.size)][0]
@@ -135,27 +136,25 @@ class ThreadCtx:
                 f"thread {self.tid}: index {bad} out of bounds for "
                 f"{arr.name} (size {arr.size})"
             )
-        return arr.base + flat * arr.itemsize
+        return flat
 
     # ------------------------------------------------------------------
     # Memory
     # ------------------------------------------------------------------
     def load(self, arr: HostArray, idx: IndexLike) -> np.ndarray:
         """Instrumented gather; returns the loaded values."""
-        addrs = self._addrs_for(arr, idx)
-        self.counts.load += addrs.size
-        self._record(addrs, False)
-        flat = np.asarray(idx, dtype=np.int64).reshape(-1)
+        flat = self._flat_index(arr, idx)
+        self.counts.load += flat.size
+        self._record(arr.base + flat * arr.itemsize, False)
         vals = arr.data.reshape(-1)[flat]
         shape = np.shape(idx)
         return vals.reshape(shape) if shape else vals[0]
 
     def store(self, arr: HostArray, idx: IndexLike, values) -> None:
         """Instrumented scatter."""
-        addrs = self._addrs_for(arr, idx)
-        self.counts.store += addrs.size
-        self._record(addrs, True)
-        flat = np.asarray(idx, dtype=np.int64).reshape(-1)
+        flat = self._flat_index(arr, idx)
+        self.counts.store += flat.size
+        self._record(arr.base + flat * arr.itemsize, True)
         vals = np.broadcast_to(
             np.asarray(values, dtype=arr.data.dtype), flat.shape
         ).reshape(-1)

@@ -176,8 +176,9 @@ def write_baseline(record: RunRecord, path: Union[str, pathlib.Path],
                    out=None) -> Optional[pathlib.Path]:
     """Write ``record`` as a ``--save-baseline`` file; returns its path.
 
-    Publishes atomically, creating the parent directory.  A failed write
-    (a full disk) prints ``[baseline] error: ...`` to ``out`` (stderr by
+    Publishes atomically, creating the parent directory; the file
+    belongs to no store, so no store lock is taken.  A failed write (a
+    full disk) prints ``[baseline] error: ...`` to ``out`` (stderr by
     default) and returns ``None``: the run it records has finished, so
     its exit code stands.
     """
@@ -185,7 +186,8 @@ def write_baseline(record: RunRecord, path: Union[str, pathlib.Path],
     text = record.to_json()
     try:
         target = publish(
-            path, lambda tmp: pathlib.Path(tmp).write_text(text, "utf-8")
+            path, lambda tmp: pathlib.Path(tmp).write_text(text, "utf-8"),
+            locked=False,
         )
     except OSError as exc:
         print(f"[baseline] error: {exc}", file=out, flush=True)

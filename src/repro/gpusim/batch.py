@@ -297,7 +297,6 @@ class LaunchBuffer:
         launch.shared_bytes_per_block = max(
             launch.shared_bytes_per_block, self.shared_bytes_per_block
         )
-        launch._version += 1
 
         # Assemble the off-chip transaction stream: global/local
         # transactions plus const/tex misses, merged into per-block

@@ -46,10 +46,6 @@ class LaunchTrace:
         self.shared_replays = 0
         self.const_serializations = 0
 
-        # Bumped on every recording call; lets the owning KernelTrace
-        # invalidate its memoized aggregates without a back-reference.
-        self._version = 0
-
         # Off-chip transaction stream (global/local/texture-miss) as
         # fixed-size column chunks that spill past the trace budget.
         self._tx = ChunkStore(TX_DTYPES, label=f"gpu:{kernel_name}")
@@ -75,7 +71,6 @@ class LaunchTrace:
         live = active_per_warp[active_per_warp > 0]
         if live.size == 0:
             return
-        self._version += 1
         n_warps = int(live.size) * repeat
         n_threads = int(live.sum()) * repeat
         self.issued_warp_insts += n_warps
@@ -84,7 +79,6 @@ class LaunchTrace:
         np.add.at(self.occupancy_hist, live - 1, repeat)
 
     def charge_mem_space(self, space: Space, n_warps: int) -> None:
-        self._version += 1
         self.mem_warp_insts[space] += n_warps
 
     def record_transactions(
@@ -92,7 +86,6 @@ class LaunchTrace:
     ) -> None:
         if addrs.size == 0:
             return
-        self._version += 1
         self._tx.append(
             addrs,
             np.full(addrs.size, block_idx, dtype=np.int32),
@@ -110,7 +103,6 @@ class LaunchTrace:
         """
         if addrs.size == 0:
             return
-        self._version += 1
         self._tx.append(addrs, blocks, stores)
 
     # ------------------------------------------------------------------
@@ -167,61 +159,37 @@ class LaunchTrace:
 class KernelTrace:
     """All launches of one application run, with aggregate views.
 
-    Aggregate properties reduce over every launch; timing and the
-    experiments access them repeatedly, so the reductions are memoized
-    and invalidated whenever a launch is added or any launch records new
-    data (tracked through each launch's ``_version`` counter).
+    Each aggregate property reduces over every launch when read.
     """
 
     def __init__(self, app_name: str = ""):
         self.app_name = app_name
         self.launches: List[LaunchTrace] = []
-        self._agg_cache: Dict[str, object] = {}
-        self._agg_token: Tuple[int, int] = (0, 0)
 
     def new_launch(self, *args, **kwargs) -> LaunchTrace:
-        self._agg_cache.clear()
         lt = LaunchTrace(*args, **kwargs)
         self.launches.append(lt)
         return lt
 
-    def _cached(self, key: str, compute):
-        token = (len(self.launches), sum(lt._version for lt in self.launches))
-        if token != self._agg_token:
-            self._agg_cache.clear()
-            self._agg_token = token
-        if key not in self._agg_cache:
-            self._agg_cache[key] = compute()
-        return self._agg_cache[key]
-
     # Aggregates -------------------------------------------------------
     @property
     def thread_insts(self) -> int:
-        return self._cached(
-            "thread_insts", lambda: sum(lt.thread_insts for lt in self.launches)
-        )
+        return sum(lt.thread_insts for lt in self.launches)
 
     @property
     def issued_warp_insts(self) -> int:
-        return self._cached(
-            "issued_warp_insts",
-            lambda: sum(lt.issued_warp_insts for lt in self.launches),
-        )
+        return sum(lt.issued_warp_insts for lt in self.launches)
 
     @property
     def n_launches(self) -> int:
         return len(self.launches)
 
-    def _occupancy_hist(self) -> np.ndarray:
+    @property
+    def occupancy_hist(self) -> np.ndarray:
         out = np.zeros(32, dtype=np.int64)
         for lt in self.launches:
             out += lt.occupancy_hist
-        out.flags.writeable = False  # cached: callers must not mutate
         return out
-
-    @property
-    def occupancy_hist(self) -> np.ndarray:
-        return self._cached("occupancy_hist", self._occupancy_hist)
 
     def occupancy_buckets(self) -> Dict[str, float]:
         """Figure 3's quartile buckets as fractions of issued warps."""
@@ -266,16 +234,11 @@ class KernelTrace:
 
     @property
     def dram_bytes(self) -> int:
-        return self._cached(
-            "dram_bytes", lambda: sum(lt.dram_bytes for lt in self.launches)
-        )
+        return sum(lt.dram_bytes for lt in self.launches)
 
     @property
     def n_transactions(self) -> int:
-        return self._cached(
-            "n_transactions",
-            lambda: sum(lt.n_transactions for lt in self.launches),
-        )
+        return sum(lt.n_transactions for lt in self.launches)
 
     def category_mix(self) -> Dict[str, float]:
         totals: Dict[Category, int] = {c: 0 for c in Category}

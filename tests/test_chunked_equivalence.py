@@ -31,6 +31,10 @@ def trace_cols():
 
 CHUNK_SIZES = (5000, 4097, 999, 1)
 
+#: A private cache small enough that the module's trace evicts, writes
+#: back and invalidates across every chunk boundary.
+_EVICTING = dict(cache_bytes_per_core=2048, assoc=2)
+
 
 def _sharing_oracle(addrs, tids, writes, line_bytes=64):
     """Per-access whole-run sharing statistics (Bienia-style)."""
@@ -71,6 +75,9 @@ def oracles(trace_cols):
             for size in (256 * 1024, 4 * 1024 * 1024)
         },
         "coherence": simulate_coherent_caches_scalar(addrs, tids, writes),
+        "coherence_2k": simulate_coherent_caches_scalar(
+            addrs, tids, writes, **_EVICTING
+        ),
     }
 
 
@@ -145,6 +152,21 @@ def test_coherence_chunked_matches_dense(trace_cols, oracles, size):
 
     chunked = simulate_coherent_caches_chunked(chunks_of(size, *trace_cols))
     assert chunked == oracles["coherence"]
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_coherence_chunked_evicting_cache_matches_dense(
+    trace_cols, oracles, size
+):
+    from repro.cpusim.coherence import simulate_coherent_caches_chunked
+
+    want = oracles["coherence_2k"]
+    assert want.writebacks > 0 and want.invalidations > 0
+    assert want.coherence_misses > 0
+    got = simulate_coherent_caches_chunked(
+        chunks_of(size, *trace_cols), **_EVICTING
+    )
+    assert got == want
 
 
 def test_coherence_chunked_wide_lines_fall_back_to_scalar(trace_cols):

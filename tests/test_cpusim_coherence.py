@@ -10,7 +10,7 @@ from repro.cpusim.coherence import (
     simulate_coherent_caches_chunked,
     simulate_coherent_caches_scalar,
 )
-from tests.chunks import one_chunk, two_chunks
+from tests.chunks import chunks_of, one_chunk, two_chunks
 
 
 def _trace(triples):
@@ -22,10 +22,10 @@ def _trace(triples):
 
 def run(triples, **kw):
     """The scalar oracle's stats, asserted equal to the streaming
-    engine's on one chunk and on two."""
+    engine's on one chunk, on two and on single-access chunks."""
     cols = _trace(triples)
     want = simulate_coherent_caches_scalar(*cols, **kw)
-    for chunks in (one_chunk(*cols), two_chunks(*cols)):
+    for chunks in (one_chunk(*cols), two_chunks(*cols), chunks_of(1, *cols)):
         assert simulate_coherent_caches_chunked(chunks, **kw) == want
     return want
 

@@ -44,8 +44,8 @@ def full_disk(monkeypatch):
     """Make one module's ``publish`` run the failing write instead."""
 
     def install(module):
-        def publish(path, write_fn):
-            return locks.publish(path, _enospc)
+        def publish(path, write_fn, **kwargs):
+            return locks.publish(path, _enospc, **kwargs)
 
         monkeypatch.setattr(module, "publish", publish)
 
@@ -201,6 +201,8 @@ class TestBaselineWrites:
         assert "[baseline saved] " in capsys.readouterr().err
         record = RunRecord.from_json(target.read_text(encoding="utf-8"))
         assert record.kind == "run" and "table1" in record.experiments
+        # A lone user file takes no store lock: no .locks/ beside it.
+        assert [p.name for p in target.parent.iterdir()] == ["base.json"]
 
     def test_runner_full_disk_keeps_exit_code(self, tmp_path, capsys,
                                               full_disk):
@@ -230,6 +232,7 @@ class TestBaselineWrites:
         assert "[baseline saved] " in err
         record = RunRecord.from_json(target.read_text(encoding="utf-8"))
         assert record.kind == "service"
+        assert [p.name for p in target.parent.iterdir()] == ["base.json"]
 
     def test_service_full_disk_keeps_exit_code(self, tmp_path, full_disk):
         full_disk(registry_mod)
