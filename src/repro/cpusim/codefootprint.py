@@ -5,8 +5,9 @@ touched during execution.  Our workloads are Python, so the honest
 equivalent is the executed *bytecode* footprint: while a workload runs
 under the tracer, every Python code object entered contributes its
 ``co_code`` bytes; the footprint is the total in 64-byte blocks.  Only
-frames from the workload package are counted (the instrumentation
-machinery is excluded), mirroring Pin's per-image filtering.
+frames from files under the ``repro/workloads/`` package directory are
+counted (the instrumentation machinery is excluded), mirroring Pin's
+per-image filtering.
 
 The substitution is documented in DESIGN.md; absolute values are not
 comparable to x86 but relative workload ordering is reported in
@@ -15,9 +16,18 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import CodeType, FrameType
 from typing import Optional, Set
+
+
+#: The ``repro/workloads/`` package directory, as a path prefix.  A
+#: prefix, not a substring: a checkout under some other directory named
+#: ``workloads`` must not count every ``repro`` module.
+WORKLOADS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(__file__)), "workloads", ""
+)
 
 
 class CodeFootprintTracer:
@@ -29,9 +39,13 @@ class CodeFootprintTracer:
         with tracer:
             run_workload(...)
         blocks = tracer.footprint_blocks()
+
+    A code object counts when its file lies under ``path_filter``, a
+    directory path ending in a separator (the workload package by
+    default).
     """
 
-    def __init__(self, path_filter: str = "workloads", block_bytes: int = 64):
+    def __init__(self, path_filter: str = WORKLOADS_DIR, block_bytes: int = 64):
         self.path_filter = path_filter
         self.block_bytes = block_bytes
         self._codes: Set[CodeType] = set()
@@ -40,7 +54,7 @@ class CodeFootprintTracer:
     def _profile(self, frame: FrameType, event: str, arg) -> None:
         if event == "call":
             code = frame.f_code
-            if self.path_filter in code.co_filename:
+            if code.co_filename.startswith(self.path_filter):
                 self._codes.add(code)
 
     def __enter__(self) -> "CodeFootprintTracer":

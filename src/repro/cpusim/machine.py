@@ -13,6 +13,7 @@ cache.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from typing import (
     Callable,
     Dict,
@@ -35,6 +36,23 @@ DEFAULT_QUANTUM = 64
 
 #: Column layout of the merged machine trace.
 TRACE_DTYPES = (np.dtype(np.int64), np.dtype(np.int16), np.dtype(bool))
+
+#: Index types of the scalar path: Python ints and numpy integer scalars.
+#: An index out of bounds leaves that path for the vector one, which
+#: converts it as ``np.asarray(idx, np.int64)`` before it raises.
+_SCALAR_INDEX = frozenset(
+    [int] + [np.dtype(c).type for c in np.typecodes["AllInteger"]]
+)
+
+#: Value types the scalar path stores with ``ndarray.put``, which casts
+#: each exactly as ``np.asarray(value, dtype=arr.data.dtype)`` does.
+_SCALAR_VALUE = frozenset(
+    [int, float, bool, complex]
+    + [t for t in np.sctypeDict.values() if np.dtype(t).kind in "biufc"]
+)
+
+_INT64 = np.dtype(np.int64)
+_UINT64 = np.dtype(np.uint64)
 
 
 class HostArray:
@@ -102,15 +120,22 @@ class OpCounts:
 
 
 class ThreadCtx:
-    """One logical thread of a parallel region."""
+    """One logical thread of a parallel region.
+
+    Every load and store appends to the thread's access tape: one int64
+    per access, in program order, holding the byte address shifted left
+    one bit with the write flag in bit 0.  A scalar index (a Python int
+    or a numpy integer scalar) takes a path that builds no numpy array;
+    a flat int64 index array is used as is; any other index is first
+    converted the way ``np.asarray(idx, np.int64)`` does.
+    """
 
     def __init__(self, machine: "Machine", tid: int, nthreads: int):
         self.machine = machine
         self.tid = tid
         self.nthreads = nthreads
         self.counts = OpCounts()
-        self._addr_chunks: List[np.ndarray] = []
-        self._write_chunks: List[np.ndarray] = []
+        self._tape = array("q")
 
     # ------------------------------------------------------------------
     # Accounting
@@ -123,47 +148,71 @@ class ThreadCtx:
         """Charge ``n`` conditional branches."""
         self.counts.branch += int(n)
 
-    def _record(self, addrs: np.ndarray, is_write: bool) -> None:
-        self._addr_chunks.append(addrs)
-        self._write_chunks.append(np.full(addrs.size, is_write, dtype=bool))
-
-    def _flat_index(self, arr: HostArray, idx: IndexLike) -> np.ndarray:
-        """``idx`` as a flat int64 array, bounds-checked against ``arr``."""
-        flat = np.asarray(idx, dtype=np.int64).reshape(-1)
-        if flat.size and (flat.min() < 0 or flat.max() >= arr.size):
-            bad = flat[(flat < 0) | (flat >= arr.size)][0]
-            raise IndexError(
-                f"thread {self.tid}: index {bad} out of bounds for "
-                f"{arr.name} (size {arr.size})"
-            )
-        return flat
+    def _index(self, arr: HostArray, idx: IndexLike):
+        """``idx`` as a flat int64 array checked against ``arr``, and the
+        shape a load of it returns (None when that is the flat shape)."""
+        if type(idx) is np.ndarray and idx.ndim == 1 and idx.dtype == _INT64:
+            flat, shape = idx, None
+        else:
+            flat = np.asarray(idx, dtype=np.int64)
+            shape = flat.shape
+            flat = flat.reshape(-1)
+        if flat.size:
+            # One unsigned max bounds both sides: a negative index
+            # reads as a huge unsigned one.
+            u = flat.view(_UINT64)
+            if u[u.argmax()] >= arr.data.size:
+                bad = flat[(flat < 0) | (flat >= arr.size)][0]
+                raise IndexError(
+                    f"thread {self.tid}: index {bad} out of bounds for "
+                    f"{arr.name} (size {arr.size})"
+                )
+        return flat, shape
 
     # ------------------------------------------------------------------
     # Memory
     # ------------------------------------------------------------------
     def load(self, arr: HostArray, idx: IndexLike) -> np.ndarray:
         """Instrumented gather; returns the loaded values."""
-        flat = self._flat_index(arr, idx)
+        data = arr.data
+        if type(idx) in _SCALAR_INDEX:
+            i = int(idx)
+            if 0 <= i < data.size:
+                self._tape.append((arr.base + i * data.itemsize) << 1)
+                self.counts.load += 1
+                return data[i] if data.ndim == 1 else data.reshape(-1)[i]
+        flat, shape = self._index(arr, idx)
+        keys = flat * (data.itemsize << 1) + (arr.base << 1)
+        self._tape.frombytes(keys.view(np.uint8))
         self.counts.load += flat.size
-        self._record(arr.base + flat * arr.itemsize, False)
-        vals = arr.data.reshape(-1)[flat]
-        shape = np.shape(idx)
+        vals = (data if data.ndim == 1 else data.reshape(-1))[flat]
+        if shape is None:
+            return vals
         return vals.reshape(shape) if shape else vals[0]
 
     def store(self, arr: HostArray, idx: IndexLike, values) -> None:
         """Instrumented scatter."""
-        flat = self._flat_index(arr, idx)
+        data = arr.data
+        if type(idx) in _SCALAR_INDEX and type(values) in _SCALAR_VALUE:
+            i = int(idx)
+            if 0 <= i < data.size:
+                self._tape.append(((arr.base + i * data.itemsize) << 1) | 1)
+                self.counts.store += 1
+                data.put(i, values)
+                return
+        flat, _ = self._index(arr, idx)
+        keys = flat * (data.itemsize << 1) + ((arr.base << 1) | 1)
+        self._tape.frombytes(keys.view(np.uint8))
         self.counts.store += flat.size
-        self._record(arr.base + flat * arr.itemsize, True)
-        vals = np.broadcast_to(
-            np.asarray(values, dtype=arr.data.dtype), flat.shape
-        ).reshape(-1)
-        arr.data.reshape(-1)[flat] = vals
+        vals = np.asarray(values, dtype=data.dtype)
+        if vals.ndim and vals.shape != flat.shape:
+            vals = np.broadcast_to(vals, flat.shape)
+        (data if data.ndim == 1 else data.reshape(-1))[flat] = vals
 
     def update(self, arr: HostArray, idx: IndexLike, fn: Callable) -> None:
         """Read-modify-write: ``arr[idx] = fn(arr[idx])``."""
         vals = self.load(arr, idx)
-        self.alu(np.asarray(idx).size if np.ndim(idx) else 1)
+        self.alu(np.size(idx))
         self.store(arr, idx, fn(vals))
 
     # ------------------------------------------------------------------
@@ -179,6 +228,22 @@ class ThreadCtx:
     def strided(self, n: int) -> range:
         """This thread's cyclic (round-robin) slice of ``range(n)``."""
         return range(self.tid, n, self.nthreads)
+
+
+def _quantum_slices(sizes: np.ndarray, quantum: int):
+    """The round-robin interleave of tapes of ``sizes``, as slices.
+
+    The tapes lie concatenated in thread order.  Round ``r`` takes
+    accesses ``[r * quantum, (r + 1) * quantum)`` of each tape still that
+    long, thread by thread.  Returns each slice's thread (position in
+    ``sizes``), start in the concatenation and length, in output order.
+    """
+    offsets = np.arange(0, sizes.max(), quantum)[:, None]
+    lens = np.clip(sizes - offsets, 0, quantum)
+    starts = np.cumsum(sizes) - sizes + offsets
+    thread = np.broadcast_to(np.arange(sizes.size), lens.shape)
+    live = lens > 0
+    return thread[live], starts[live], lens[live]
 
 
 class Machine:
@@ -237,47 +302,28 @@ class Machine:
         return result
 
     def _merge_region(self, ctxs: List[ThreadCtx]) -> None:
-        per_thread = []
+        tids, tapes = [], []
         for ctx in ctxs:
             self.counts.add(ctx.counts)
             if ctx.tid < self.n_threads:
                 self.thread_insts[ctx.tid] += ctx.counts.total
-            if ctx._addr_chunks:
-                per_thread.append(
-                    (
-                        ctx.tid,
-                        np.concatenate(ctx._addr_chunks),
-                        np.concatenate(ctx._write_chunks),
-                    )
-                )
-        if not per_thread:
+            if ctx._tape:
+                tids.append(ctx.tid)
+                tapes.append(np.frombuffer(ctx._tape, dtype=np.int64))
+        if not tapes:
             return
-        if len(per_thread) == 1:
-            tid, addrs, writes = per_thread[0]
-            self._trace.append(
-                addrs, np.full(addrs.size, tid, dtype=np.int16), writes
-            )
-            return
-        q = self.quantum
-        cursors = [0] * len(per_thread)
-        sizes = [t[1].size for t in per_thread]
-        out_a, out_t, out_w = [], [], []
-        remaining = sum(sizes)
-        while remaining > 0:
-            for i, (tid, addrs, writes) in enumerate(per_thread):
-                c = cursors[i]
-                if c >= sizes[i]:
-                    continue
-                hi = min(sizes[i], c + q)
-                out_a.append(addrs[c:hi])
-                out_t.append(np.full(hi - c, tid, dtype=np.int16))
-                out_w.append(writes[c:hi])
-                remaining -= hi - c
-                cursors[i] = hi
+        keys = np.concatenate(tapes) if len(tapes) > 1 else tapes[0]
+        sizes = np.array([t.size for t in tapes])
+        thread, starts, lens = _quantum_slices(sizes, self.quantum)
+        if thread.size > len(tapes) > 1:
+            # Position in the concatenation of each output access.
+            order = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+            order += np.arange(keys.size)
+            keys = keys[order]
         self._trace.append(
-            np.concatenate(out_a),
-            np.concatenate(out_t),
-            np.concatenate(out_w),
+            keys >> 1,
+            np.repeat(np.array(tids, dtype=np.int16)[thread], lens),
+            (keys & 1).astype(bool),
         )
 
     # ------------------------------------------------------------------

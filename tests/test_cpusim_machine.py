@@ -171,3 +171,57 @@ class TestMixFractions:
 
         m.serial(w)
         assert sum(m.counts.mix().values()) == pytest.approx(1.0)
+
+
+# ----------------------------------------------------------------------
+# Bounds-check contract: scalar and vector paths, load / store / update
+# ----------------------------------------------------------------------
+BAD_INDICES = [
+    # (index, the bad entry the message names); size 6 below
+    (-1, -1),
+    (np.int64(-3), -3),
+    (6, 6),
+    (np.int32(9), 9),
+    (np.uint64(2**64 - 1), -1),  # named as its int64 conversion
+    (np.array([0, 1, -2, 3]), -2),
+    (np.array([0, 6, 1]), 6),
+    (np.array([[0, 1], [7, 2]]), 7),
+    ([0, -1], -1),
+    (np.array(-4), -4),
+]
+
+
+class TestBoundsContract:
+    @pytest.mark.parametrize("op", ["load", "store", "update"])
+    @pytest.mark.parametrize(
+        "idx,bad", BAD_INDICES, ids=[repr(i) for i, _ in BAD_INDICES]
+    )
+    def test_out_of_bounds_raises_and_leaves_no_trace(self, op, idx, bad):
+        m = Machine(n_threads=2)
+        a = m.array(np.arange(6.0), name="victim")
+        errors = []
+
+        def w(t):
+            t.load(a, 0)
+            if t.tid == 1:
+                call = {
+                    "load": lambda: t.load(a, idx),
+                    "store": lambda: t.store(a, idx, 99.0),
+                    "update": lambda: t.update(a, idx, lambda v: v + 1),
+                }[op]
+                try:
+                    call()
+                except IndexError as e:
+                    errors.append(str(e))
+            t.store(a, 5, 5.0)
+
+        m.parallel(w)
+        assert errors == [
+            f"thread 1: index {bad} out of bounds for victim (size 6)"
+        ]
+        addrs, tids, writes = m.trace()
+        assert addrs.tolist() == [a.base, a.base + 40] * 2
+        assert tids.tolist() == [0, 0, 1, 1]
+        assert writes.tolist() == [False, True] * 2
+        assert (m.counts.load, m.counts.store, m.counts.alu) == (2, 2, 0)
+        np.testing.assert_array_equal(a.data, np.arange(6.0))

@@ -88,7 +88,7 @@ def test_extension_metrics_equal_standalone_passes(name, tmp_path):
 
 class TestCodeFootprintTracer:
     def test_counts_only_workload_frames(self):
-        tracer = CodeFootprintTracer(path_filter="workloads")
+        tracer = CodeFootprintTracer()
         from repro.workloads.rodinia import hotspot
         with tracer:
             hotspot.cpu_sizes(SimScale.TINY)
@@ -100,6 +100,21 @@ class TestCodeFootprintTracer:
         with tracer:
             sum(range(100))
         assert tracer.n_functions == 0
+
+    def test_matches_the_package_directory_not_a_substring(self, tmp_path):
+        # A checkout under a directory named "workloads" must not count
+        # frames outside the repro.workloads package.
+        ns = {}
+        path = str(tmp_path / "workloads" / "f.py")
+        exec(compile("def f():\n    return 1\n", path, "exec"), ns)
+        tracer = CodeFootprintTracer()
+        with tracer:
+            ns["f"]()
+        assert tracer.n_functions == 0
+        from repro.workloads.rodinia import hotspot
+        with tracer:
+            hotspot.cpu_sizes(SimScale.TINY)
+        assert tracer.n_functions >= 1
 
     def test_nested_restore(self):
         import sys
