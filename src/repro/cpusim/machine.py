@@ -5,9 +5,8 @@ single cache.  Here, workloads are written against :class:`ThreadCtx`
 (loads, stores, ALU/branch accounting, barriers); the :class:`Machine`
 runs the logical threads of a parallel region one after another —
 functionally identical for fork-join data-parallel code — and then
-interleaves their recorded access batches round-robin in fixed quanta so
-the merged trace approximates the concurrent order seen by a shared
-cache.
+interleaves their access tapes round-robin in fixed quanta so the merged
+trace approximates the concurrent order seen by a shared cache.
 """
 
 from __future__ import annotations
@@ -206,6 +205,7 @@ class ThreadCtx:
         self.counts.store += flat.size
         vals = np.asarray(values, dtype=data.dtype)
         if vals.ndim and vals.shape != flat.shape:
+            # Refuses any shape but (1,) that numpy's setitem would take.
             vals = np.broadcast_to(vals, flat.shape)
         (data if data.ndim == 1 else data.reshape(-1))[flat] = vals
 
@@ -228,22 +228,6 @@ class ThreadCtx:
     def strided(self, n: int) -> range:
         """This thread's cyclic (round-robin) slice of ``range(n)``."""
         return range(self.tid, n, self.nthreads)
-
-
-def _quantum_slices(sizes: np.ndarray, quantum: int):
-    """The round-robin interleave of tapes of ``sizes``, as slices.
-
-    The tapes lie concatenated in thread order.  Round ``r`` takes
-    accesses ``[r * quantum, (r + 1) * quantum)`` of each tape still that
-    long, thread by thread.  Returns each slice's thread (position in
-    ``sizes``), start in the concatenation and length, in output order.
-    """
-    offsets = np.arange(0, sizes.max(), quantum)[:, None]
-    lens = np.clip(sizes - offsets, 0, quantum)
-    starts = np.cumsum(sizes) - sizes + offsets
-    thread = np.broadcast_to(np.arange(sizes.size), lens.shape)
-    live = lens > 0
-    return thread[live], starts[live], lens[live]
 
 
 class Machine:
@@ -285,7 +269,7 @@ class Machine:
         """Run ``fn(thread_ctx, *args)`` on each logical thread.
 
         Threads execute sequentially (fork-join semantics); their access
-        batches are interleaved round-robin in ``quantum``-sized slices
+        tapes are interleaved round-robin in ``quantum``-sized slices
         into the machine trace.  Returns the per-thread return values.
         """
         nt = n_threads or self.n_threads
@@ -312,19 +296,25 @@ class Machine:
                 tapes.append(np.frombuffer(ctx._tape, dtype=np.int64))
         if not tapes:
             return
-        keys = np.concatenate(tapes) if len(tapes) > 1 else tapes[0]
+        # Round r takes accesses [r*q, (r+1)*q) of every tape still that
+        # long, thread by thread: lens[r, i] accesses of tape i, landing
+        # at out[r, i] in the merged order.
         sizes = np.array([t.size for t in tapes])
-        thread, starts, lens = _quantum_slices(sizes, self.quantum)
-        if thread.size > len(tapes) > 1:
-            # Position in the concatenation of each output access.
-            order = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-            order += np.arange(keys.size)
-            keys = keys[order]
-        self._trace.append(
-            keys >> 1,
-            np.repeat(np.array(tids, dtype=np.int16)[thread], lens),
-            (keys & 1).astype(bool),
+        rounds = np.arange(0, sizes.max(), self.quantum)
+        lens = np.clip(sizes - rounds[:, None], 0, self.quantum)
+        if len(tapes) == 1:
+            keys = tapes[0]
+        else:
+            out = (np.cumsum(lens) - lens.ravel()).reshape(lens.shape)
+            keys = np.empty(sizes.sum(), dtype=np.int64)
+            for i, tape in enumerate(tapes):
+                dst = np.repeat(out[:, i] - rounds, lens[:, i])
+                dst += np.arange(tape.size)
+                keys[dst] = tape
+        tid_col = np.repeat(
+            np.tile(np.array(tids, dtype=np.int16), rounds.size), lens.ravel()
         )
+        self._trace.append(keys >> 1, tid_col, (keys & 1).astype(bool))
 
     # ------------------------------------------------------------------
     # Trace access

@@ -248,11 +248,13 @@ class TestTapeMatchesPerCallOracle:
 
 # Scalar stores cast through ``ndarray.put``; this pins that to the
 # oracle's ``np.asarray(value, dtype)`` cast on values that wrap, round,
-# overflow or are not numbers at all, warnings and errors included.
+# overflow or are not numbers at all, warnings and errors included, and
+# pins the refusal of values that do not broadcast to the index.
 ODD_VALUES = [
     2.7, -2.7, 300, -129, 2**40, 1e20, -1e20, float("nan"), float("inf"),
     True, 3 + 4j, np.float64("nan"), np.float64(1e20), np.int64(300),
     np.uint64(2**64 - 1), np.float32(-1.5), np.bool_(True), np.float16(7.5),
+    [1.0, 2.0], np.ones((1, 2)), np.ones((1, 1)), np.ones(3),
 ]
 
 
